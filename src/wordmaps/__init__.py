@@ -14,7 +14,6 @@ from .errors import (
 from .words import (
     Word,
     WhiteheadMove,
-    apply_whitehead,
     cyclic_reduce,
     enumerate_whitehead_moves,
     is_dth_power_in_free,

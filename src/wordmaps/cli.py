@@ -3,7 +3,7 @@
 Every operation of the library is exposed as a subcommand producing a
 reproducible CSV, JSON or DOT artifact.  Artifacts are byte-stable for a
 fixed input, seed and version: header comments echo the configuration
-(excluding --workers and --out, which never affect the numbers), and all
+(excluding --out, which never affects the numbers), and all
 exact values are printed as integer numerator/denominator pairs.
 
 Exit codes: 0 success; 2 usage or word-syntax error; 3 hypothesis
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .extensions import INFINITE_RANK
 from .measures import DEFAULT_BUDGET, FiniteGroupTable
-from .words import Word, cyclic_reduce, maximal_root, parse, substitute
+from .words import cyclic_reduce, maximal_root, parse, parse_list, substitute
 
 
 # ----------------------------------------------------------------------
@@ -58,10 +58,6 @@ def parse_group(text: str):
     raise ValueError(f"unrecognized group specifier {text!r}")
 
 
-def parse_words(text: str, rank: int | None) -> list[Word]:
-    return [parse(part, rank) for part in text.split(",") if part.strip()]
-
-
 def _dec(x: Fraction) -> str:
     return f"{float(x):.15g}"
 
@@ -78,7 +74,7 @@ def _pi_json(value: float):
 # Artifact emission
 # ----------------------------------------------------------------------
 
-_CONFIG_SKIP = {"out", "workers", "func", "command", "subcommand"}
+_CONFIG_SKIP = {"out", "func", "command", "subcommand"}
 
 
 def _config_echo(args: argparse.Namespace) -> str:
@@ -163,7 +159,7 @@ def cmd_word_root(args):
 
 def cmd_word_substitute(args):
     w = parse(args.word, args.rank)
-    images = parse_words(args.images, args.image_rank)
+    images = parse_list(args.images, args.image_rank)
     result = substitute(w, images)
     emit_json(args, {"result": str(result)}, f"image: {result}")
 
@@ -174,7 +170,7 @@ def cmd_word_substitute(args):
 
 
 def _graph_from_args(args) -> stallings.CoreGraph:
-    gens = parse_words(args.gens, args.rank)
+    gens = parse_list(args.gens, args.rank)
     rank = args.rank or max(g.ambient_rank for g in gens)
     return stallings.from_generators([g.with_rank(rank) for g in gens], rank)
 
@@ -234,8 +230,8 @@ def cmd_ext_pi(args):
 
 
 def cmd_ext_pi_iota(args):
-    gens = parse_words(args.gens, args.rank)
-    images = parse_words(args.images, args.image_rank)
+    gens = parse_list(args.gens, args.rank)
+    images = parse_list(args.images, args.image_rank)
     value, count = extensions.pi_iota(gens, args.rank, images)
     emit_json(
         args,
@@ -247,7 +243,7 @@ def cmd_ext_pi_iota(args):
 def cmd_ext_ff_closure(args):
     H = _graph_from_args(args)
     if args.in_gens:
-        J_gens = parse_words(args.in_gens, H.ambient_rank)
+        J_gens = parse_list(args.in_gens, H.ambient_rank)
         J = stallings.from_generators(J_gens, H.ambient_rank)
     else:
         J = stallings.rose(H.ambient_rank)
@@ -270,23 +266,21 @@ def cmd_measure_trw(args):
     rows = []
     if args.mc:
         for N in args.n:
-            mean, err = measures.trw_monte_carlo(
-                w, N, args.samples, args.seed, workers=args.workers
-            )
+            mean, err = measures.trw_monte_carlo(w, N, args.samples, args.seed)
             rows.append([N, f"{mean:.15g}", f"{err:.15g}"])
         emit_csv(args, ["N", "estimate", "stderr"], rows)
         return
     for N in args.n:
-        rows.append([N] + _frac_fields(measures.trw_exact(w, N, budget=args.budget, workers=args.workers)))
+        rows.append([N] + _frac_fields(measures.trw_exact(w, N, budget=args.budget)))
     emit_csv(args, ["N", "numerator", "denominator", "decimal"], rows)
 
 
 def cmd_measure_phi(args):
-    gens = parse_words(args.gens, args.rank)
+    gens = parse_list(args.gens, args.rank)
     rows = [
         [N]
         + _frac_fields(
-            measures.phi_exact(gens, args.rank, N, budget=args.budget, workers=args.workers)
+            measures.phi_exact(gens, args.rank, N, budget=args.budget)
         )
         for N in args.n
     ]
@@ -348,7 +342,7 @@ def cmd_measure_epiim(args):
 
 def cmd_mobius_derive(args):
     H = _graph_from_args(args)
-    table = mobius.derive_R(H, args.n[0], budget=args.budget, workers=args.workers)
+    table = mobius.derive_R(H, args.n[0], budget=args.budget)
     rows = []
     for i in sorted(table.values):
         g = table.poset.nodes[i]
@@ -371,7 +365,7 @@ def cmd_mobius_via_expansion(args):
     rows = [
         [N]
         + _frac_fields(
-            mobius.phi_via_expansion(H, rank, N, budget=args.budget, workers=args.workers)
+            mobius.phi_via_expansion(H, rank, N, budget=args.budget)
         )
         for N in args.n
     ]
@@ -380,7 +374,7 @@ def cmd_mobius_via_expansion(args):
 
 def cmd_mobius_fit(args):
     w = parse(args.word, args.rank)
-    fit = mobius.fit_expansion(w, args.n, budget=args.budget, workers=args.workers)
+    fit = mobius.fit_expansion(w, args.n, budget=args.budget)
     emit_json(
         args,
         {
@@ -397,10 +391,8 @@ def cmd_mobius_fit(args):
 
 def cmd_mobius_inequality(args):
     w = parse(args.word, args.rank)
-    images = parse_words(args.images, args.image_rank)
-    report = mobius.check_substitution_inequality(
-        w, images, args.n, budget=args.budget, workers=args.workers
-    )
+    images = parse_list(args.images, args.image_rank)
+    report = mobius.check_substitution_inequality(w, images, args.n, budget=args.budget)
     if args.format == "json":
         emit_json(
             args,
@@ -426,9 +418,7 @@ def cmd_mobius_inequality(args):
 
 def cmd_mobius_power_gap(args):
     u = parse(args.word, args.rank)
-    report = mobius.check_power_gap(
-        u, args.d, args.n, budget=args.budget, workers=args.workers
-    )
+    report = mobius.check_power_gap(u, args.d, args.n, budget=args.budget)
     rows = [
         [r.N, r.gap.numerator, r.gap.denominator, report.delta - 1,
          r.deviation.numerator, r.deviation.denominator]
@@ -522,8 +512,6 @@ def _add_common(p, out=True, fmt=None):
 def _add_budget(p):
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="work-unit cap for exact enumeration")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers; never affects the numbers")
 
 
 def build_parser() -> argparse.ArgumentParser:

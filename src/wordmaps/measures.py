@@ -1,17 +1,18 @@
 """Exact and Monte Carlo word measures on symmetric and finite groups.
 
 Exact values are arbitrary-precision rationals (`fractions.Fraction`).
-Enumeration over Hom(F_r, S_N) collapses the first coordinate by
-conjugacy class (fixed-point counts are invariant under simultaneous
-conjugation); the naive all-tuples path is kept as the trusted oracle
-for differential testing.
+Every exact functional on S_N enumerates Hom(F_r, S_N) through one
+serial sweep, `class_collapsed_tuples`, which collapses the first
+coordinate by conjugacy class (the functionals are invariant under
+simultaneous conjugation).  The naive all-tuples path is kept as the
+trusted oracle for differential testing.  Monte Carlo draws from one
+stream seeded `Random(f"{seed}/0")`.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -32,14 +33,14 @@ Perm = tuple[int, ...]
 # ----------------------------------------------------------------------
 
 
-def _invert(p: Perm) -> Perm:
+def invert(p: Perm) -> Perm:
     inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
 
 
-def _all_perms(N: int) -> list[Perm]:
+def all_perms(N: int) -> list[Perm]:
     return list(itertools.permutations(range(N)))
 
 
@@ -72,21 +73,49 @@ def _class_size(lam: tuple[int, ...], N: int) -> int:
     return math.factorial(N) // z
 
 
-def cycle_type_key(p: Perm) -> tuple[int, ...]:
-    """Cycle type as a descending tuple (the class label used in tables)."""
+def cycles(p: Perm) -> list[list[int]]:
+    """The cycles of p, each listed from its least point, ordered by it."""
     seen = [False] * len(p)
-    lengths = []
+    out = []
     for i in range(len(p)):
         if seen[i]:
             continue
-        n = 0
+        cyc = []
         j = i
         while not seen[j]:
             seen[j] = True
+            cyc.append(j)
             j = p[j]
-            n += 1
-        lengths.append(n)
-    return tuple(sorted(lengths, reverse=True))
+        out.append(cyc)
+    return out
+
+
+def cycle_type_key(p: Perm) -> tuple[int, ...]:
+    """Cycle type as a descending tuple (the class label used in tables)."""
+    return tuple(sorted(map(len, cycles(p)), reverse=True))
+
+
+def class_collapsed_tuples(N: int, r: int):
+    """Hom(F_r, S_N) with the first coordinate collapsed by conjugacy class.
+
+    Yields (class size, perms, inverses): the first coordinate runs over
+    one representative per class in partition order, the other r - 1
+    over all of S_N in `itertools.product` order.  Weighting a function
+    invariant under simultaneous conjugation by the class size sums it
+    over all (N!)^r tuples.
+    """
+    pool = all_perms(N) if r > 1 else []
+    inv_pool = [invert(p) for p in pool]
+    for lam in _partitions(N):
+        rep = _class_rep(lam)
+        size = _class_size(lam, N)
+        head, head_inv = (rep,), (invert(rep),)
+        # the two products walk in lockstep, so rest_inv inverts rest
+        for rest, rest_inv in zip(
+            itertools.product(pool, repeat=r - 1),
+            itertools.product(inv_pool, repeat=r - 1),
+        ):
+            yield size, head + rest, head_inv + rest_inv
 
 
 def _trace_point(letters, perms, invs, q: int) -> int:
@@ -109,48 +138,37 @@ def _joint_fix_count(letter_lists, perms, invs, N: int) -> int:
 
 def evaluate_word(w: Word, perms: list[Perm]) -> Perm:
     """The image of w under x_i -> perms[i-1] (right action composition)."""
-    invs = [_invert(p) for p in perms]
+    invs = [invert(p) for p in perms]
     N = len(perms[0]) if perms else 0
     return tuple(_trace_point(w.letters, perms, invs, q) for q in range(N))
 
 
+def within_hom_budget(N: int, r: int, length: int, budget: int) -> bool:
+    """Whether (N!)^r x max(length, 1) <= budget.
+
+    The product is built factor by factor and abandoned once it passes
+    the budget, so a huge N costs no more than a small one.
+    """
+    work = max(length, 1)
+    for _ in range(r):
+        for k in range(2, N + 1):
+            work *= k
+            if work > budget:
+                return False
+    return True
+
+
 def _check_budget(N: int, r: int, word_len: int, budget: int):
-    work = math.factorial(N) ** r * max(word_len, 1)
-    if work > budget:
+    if not within_hom_budget(N, r, word_len, budget):
         raise BudgetExceededError(
-            f"(N!)^r x length = {work} exceeds the budget {budget}"
+            f"(N!)^r x length exceeds the budget {budget} "
+            f"(N={N}, r={r}, length={word_len})"
         )
 
 
 # ----------------------------------------------------------------------
 # Exact functionals on S_N
 # ----------------------------------------------------------------------
-
-
-def _class_task(args) -> tuple[int, int]:
-    """Partial numerator for one conjugacy class of the first coordinate."""
-    letter_lists, N, r, lam = args
-    rep = _class_rep(lam)
-    size = _class_size(lam, N)
-    perms_pool = _all_perms(N)
-    inv_pool = {p: _invert(p) for p in perms_pool}
-    total = 0
-    for rest in itertools.product(perms_pool, repeat=r - 1):
-        perms = (rep,) + rest
-        invs = tuple(inv_pool[p] for p in perms)
-        total += _joint_fix_count(letter_lists, perms, invs, N)
-    return size, total
-
-
-def _sum_over_classes(letter_lists, N: int, r: int, workers: int) -> int:
-    lams = list(_partitions(N))
-    tasks = [(letter_lists, N, r, lam) for lam in lams]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_class_task, tasks))
-    else:
-        results = [_class_task(t) for t in tasks]
-    return sum(size * total for size, total in results)
 
 
 def _effective_letter_lists(gens: list[Word]) -> tuple[list[tuple], int]:
@@ -167,7 +185,6 @@ def phi_exact(
     ambient_rank: int,
     N: int,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> Fraction:
     """Expected number of points fixed by every generator image under a
     uniform homomorphism F_r -> S_N.  The trivial subgroup gives N."""
@@ -177,15 +194,16 @@ def phi_exact(
         return Fraction(N)
     total_len = sum(len(ls) for ls in letter_lists)
     _check_budget(N, r, total_len, budget)
-    numer = _sum_over_classes(letter_lists, N, r, workers)
+    numer = sum(
+        size * _joint_fix_count(letter_lists, perms, invs, N)
+        for size, perms, invs in class_collapsed_tuples(N, r)
+    )
     return Fraction(numer, math.factorial(N) ** r)
 
 
-def trw_exact(
-    w: Word, N: int, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> Fraction:
+def trw_exact(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Expected number of fixed points of a w-random permutation in S_N."""
-    return phi_exact([w], w.ambient_rank, N, budget=budget, workers=workers)
+    return phi_exact([w], w.ambient_rank, N, budget=budget)
 
 
 def phi_relative_exact(
@@ -193,7 +211,6 @@ def phi_relative_exact(
     k: int,
     N: int,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> Fraction:
     """Phi of H relative to a free group J of rank k, via J ~ F_k."""
     if k == 0:
@@ -203,7 +220,6 @@ def phi_relative_exact(
         k,
         N,
         budget=budget,
-        workers=workers,
     )
 
 
@@ -213,8 +229,8 @@ def trw_exact_naive(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     if r == 0:
         return Fraction(N)
     _check_budget(N, r, len(w), budget)
-    perms_pool = _all_perms(N)
-    inv_pool = {p: _invert(p) for p in perms_pool}
+    perms_pool = all_perms(N)
+    inv_pool = {p: invert(p) for p in perms_pool}
     total = 0
     for perms in itertools.product(perms_pool, repeat=r):
         invs = tuple(inv_pool[p] for p in perms)
@@ -352,20 +368,17 @@ def _word_measure_sn(w: Word, N: int, budget: int) -> MeasureTable:
         counts[tuple([1] * N)] = 1
     else:
         _check_budget(N, r, len(w), budget)
-        perms_pool = _all_perms(N)
-        inv_pool = {p: _invert(p) for p in perms_pool}
         denom = math.factorial(N) ** r
-        for lam in _partitions(N):
-            rep = _class_rep(lam)
-            size = _class_size(lam, N)
-            for rest in itertools.product(perms_pool, repeat=r - 1):
-                perms = (rep,) + rest
-                invs = tuple(inv_pool[p] for p in perms)
-                img = tuple(
-                    _trace_point(letter_lists[0], perms, invs, q) for q in range(N)
-                )
-                key = cycle_type_key(img)
-                counts[key] = counts.get(key, 0) + size
+        # tally images first: there are at most N! of them to classify
+        by_image: dict[Perm, int] = {}
+        for size, perms, invs in class_collapsed_tuples(N, r):
+            img = tuple(
+                _trace_point(letter_lists[0], perms, invs, q) for q in range(N)
+            )
+            by_image[img] = by_image.get(img, 0) + size
+        for img, weight in by_image.items():
+            key = cycle_type_key(img)
+            counts[key] = counts.get(key, 0) + weight
     support = tuple(
         sorted((k, Fraction(v, denom)) for k, v in counts.items())
     )
@@ -471,35 +484,30 @@ def trw_monte_carlo(
     N: int,
     samples: int,
     seed: "int | str",
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Unbiased sample estimate of trw_exact with its standard error.
 
-    Deterministic for fixed (seed, workers): each worker consumes its own
-    stream `Random(f"{seed}/{index}")` and streams are merged in index
-    order regardless of scheduling.
+    Deterministic for a fixed seed: every sample is drawn from the one
+    stream `Random(f"{seed}/0")`.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     letter_lists, r = _effective_letter_lists([w])
     letters = letter_lists[0] if letter_lists else ()
-    per = [samples // workers] * workers
-    per[0] += samples - sum(per)
+    rng = random.Random(f"{seed}/0")
+    base = list(range(N))
     total = 0
     total_sq = 0
-    for idx, count in enumerate(per):
-        rng = random.Random(f"{seed}/{idx}")
-        base = list(range(N))
-        for _ in range(count):
-            perms = []
-            for _ in range(r):
-                p = base[:]
-                rng.shuffle(p)
-                perms.append(tuple(p))
-            invs = [_invert(p) for p in perms]
-            f = _fix_count(letters, perms, invs, N) if letters else N
-            total += f
-            total_sq += f * f
+    for _ in range(samples):
+        perms = []
+        for _ in range(r):
+            p = base[:]
+            rng.shuffle(p)
+            perms.append(tuple(p))
+        invs = [invert(p) for p in perms]
+        f = _fix_count(letters, perms, invs, N) if letters else N
+        total += f
+        total_sq += f * f
     mean = total / samples
     var = (total_sq / samples - mean * mean) * samples / (samples - 1)
     stderr = math.sqrt(max(var, 0.0) / samples)

@@ -37,12 +37,12 @@ class DerivationTable:
         raise KeyError("node is not in the poset")
 
 
-def _phi_of_node(H: CoreGraph, J: CoreGraph, N: int, budget: int, workers: int) -> Fraction:
+def _phi_of_node(H: CoreGraph, J: CoreGraph, N: int, budget: int) -> Fraction:
     k = J.rank
     if k == 0:
         return Fraction(N)
     gens = [stallings.rewrite_in_basis(J, b) for b in stallings.basis(H)]
-    return phi_relative_exact(gens, k, N, budget=budget, workers=workers)
+    return phi_relative_exact(gens, k, N, budget=budget)
 
 
 def derive_R(
@@ -50,7 +50,6 @@ def derive_R(
     N: int,
     poset: ExtensionPoset | None = None,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> DerivationTable:
     """Compute R_{H,J}(N) for every algebraic extension J of H."""
     poset = poset if poset is not None else extensions.algebraic_extensions(H)
@@ -62,7 +61,7 @@ def derive_R(
     values: dict[int, Fraction] = {}
     phis: dict[int, Fraction] = {}
     for j in alg_sorted:
-        phi = _phi_of_node(H, poset.nodes[j], N, budget, workers)
+        phi = _phi_of_node(H, poset.nodes[j], N, budget)
         below = sum(
             (values[i] for i in alg if i != j and poset.leq[(i, j)]), Fraction(0)
         )
@@ -76,13 +75,12 @@ def phi_via_expansion(
     ambient_rank: int,
     N: int,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> Fraction:
     """Phi_{H,F}(N) as the sum of R over all algebraic extensions of H,
     never enumerating Hom(F_r, S_N) itself."""
     if H.ambient_rank > ambient_rank:
         raise ValueError("graph rank exceeds the requested ambient rank")
-    table = derive_R(H, N, budget=budget, workers=workers)
+    table = derive_R(H, N, budget=budget)
     return sum(table.values.values(), Fraction(0))
 
 
@@ -102,7 +100,7 @@ class FitResult:
 
 
 def fit_expansion(
-    w: Word, N_range: list[int], budget: int = DEFAULT_BUDGET, workers: int = 1
+    w: Word, N_range: list[int], budget: int = DEFAULT_BUDGET
 ) -> FitResult:
     """Estimate pi(w) and the leading coefficient from exact traces.
 
@@ -113,7 +111,7 @@ def fit_expansion(
     """
     if len(N_range) < 3:
         raise ValueError("need at least 3 values of N")
-    traces = [(N, trw_exact(w, N, budget=budget, workers=workers)) for N in N_range]
+    traces = [(N, trw_exact(w, N, budget=budget)) for N in N_range]
     tails = [(N, tr - 1) for N, tr in traces]
     H = stallings.from_generators([w], w.ambient_rank)
     pi_comb, c_comb, _ = extensions.pi_details(H)
@@ -164,7 +162,6 @@ def check_substitution_inequality(
     images: list[Word],
     N_range: list[int],
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> InequalityReport:
     """Exact both-sides comparison of Tr_w and Tr_{w(u_1..u_k)}.
 
@@ -194,8 +191,8 @@ def check_substitution_inequality(
     composed = substitute(w, images)
     rows = []
     for N in N_range:
-        lhs = trw_exact(w, N, budget=budget, workers=workers)
-        rhs = trw_exact(composed, N, budget=budget, workers=workers)
+        lhs = trw_exact(w, N, budget=budget)
+        rhs = trw_exact(composed, N, budget=budget)
         second = None
         if value != INFINITE_RANK:
             second = float((rhs - lhs - Fraction(count) * Fraction(N) ** (1 - int(value))) * N ** int(value))
@@ -234,7 +231,6 @@ def check_power_gap(
     d: int,
     N_range: list[int],
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> PowerGapReport:
     """Tabulate f_u(N) = Tr_{u^d}(N) - Tr_u(N) against delta(d) - 1."""
     if u.is_identity:
@@ -246,8 +242,8 @@ def check_power_gap(
     ud = u**d
     rows = []
     for N in N_range:
-        tr_u = trw_exact(u, N, budget=budget, workers=workers)
-        tr_ud = trw_exact(ud, N, budget=budget, workers=workers)
+        tr_u = trw_exact(u, N, budget=budget)
+        tr_ud = trw_exact(ud, N, budget=budget)
         gap = tr_ud - tr_u
         rows.append(PowerGapRow(N, tr_u, tr_ud, gap, gap - (delta - 1)))
     return PowerGapReport(str(u), d, delta, rows)

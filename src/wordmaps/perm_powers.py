@@ -7,17 +7,22 @@ interleaves groups of m_t t-cycles into single (t * m_t)-cycles.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, HypothesisError
-from .measures import _all_perms, _invert, evaluate_word
+from .measures import (
+    Perm,
+    all_perms,
+    class_collapsed_tuples,
+    cycles,
+    evaluate_word,
+    invert,
+    within_hom_budget,
+)
 from .words import Word, is_dth_power_in_free
-
-Perm = tuple[int, ...]
 
 MOMENTS_DEGREE_CAP = 12
 OBSTRUCTION_EXHAUSTIVE_CAP = 2_000_000
@@ -46,7 +51,7 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 def power_of_permutation(p: Perm, d: int) -> Perm:
     if d < 0:
-        return power_of_permutation(_invert(p), -d)
+        return power_of_permutation(invert(p), -d)
     out = identity(len(p))
     base = p
     while d:
@@ -54,22 +59,6 @@ def power_of_permutation(p: Perm, d: int) -> Perm:
             out = compose(out, base)
         base = compose(base, base)
         d >>= 1
-    return out
-
-
-def cycles(p: Perm) -> list[list[int]]:
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j]
-        out.append(cyc)
     return out
 
 
@@ -174,13 +163,9 @@ def moments_exact(
         raise HypothesisError("b divides t", f"b={b}, t={t}")
     if N > degree_cap:
         raise BudgetExceededError(f"degree {N} exceeds cap {degree_cap}")
-    from .measures import _class_rep, _class_size, _partitions
-
     total1 = 0
     total2 = 0
-    for lam in _partitions(N):
-        size = _class_size(lam, N)
-        rep = _class_rep(lam)
+    for size, (rep,), _ in class_collapsed_tuples(N, 1):
         c = cycle_type(power_of_permutation(rep, b)).count(t)
         total1 += size * c
         total2 += size * c * c
@@ -194,7 +179,7 @@ def moments_exact_naive(b: int, t: int, N: int) -> tuple[Fraction, Fraction]:
         raise HypothesisError("b divides t", f"b={b}, t={t}")
     total1 = 0
     total2 = 0
-    for p in _all_perms(N):
+    for p in all_perms(N):
         c = cycle_type(power_of_permutation(p, b)).count(t)
         total1 += c
         total2 += c * c
@@ -237,19 +222,10 @@ def word_power_obstruction(
     r = max(w.ambient_rank, 1)
     free_side = is_dth_power_in_free(w, d)
     for N in N_range:
-        total = math.factorial(N) ** r
-        if total <= OBSTRUCTION_EXHAUSTIVE_CAP:
+        if within_hom_budget(N, r, 1, OBSTRUCTION_EXHAUSTIVE_CAP):
             # whether the image is a d-th power is a class function of the
             # image, so the first coordinate ranges over class reps only
-            from .measures import _class_rep, _partitions
-
-            pool = _all_perms(N)
-            reps = [_class_rep(lam) for lam in _partitions(N)]
-            candidates = (
-                (rep,) + rest
-                for rep in reps
-                for rest in itertools.product(pool, repeat=r - 1)
-            )
+            candidates = (perms for _, perms, _ in class_collapsed_tuples(N, r))
         else:
             rng = random.Random(f"{seed}/{N}")
             base = list(range(N))

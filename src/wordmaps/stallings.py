@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetExceededError, InternalInvariantError
-from .words import Word
+from .words import Word, free_reduce
 
 Edge = tuple[int, int, int]  # (tail, label, head)
 
@@ -91,8 +91,9 @@ class CoreGraph:
 # ----------------------------------------------------------------------
 
 
-def _fold_edges(edges: list[Edge]) -> tuple[set[Edge], dict[int, int]]:
-    """Identify edges until folded; returns the edge set and the vertex map."""
+def _fold_edges(edges: list[Edge], base: int) -> tuple[set[Edge], int]:
+    """Identify edges until folded; returns the edge set and the vertex
+    that `base` became."""
     es = set(edges)
     rename: dict[int, int] = {}
 
@@ -115,7 +116,7 @@ def _fold_edges(edges: list[Edge]) -> tuple[set[Edge], dict[int, int]]:
                 break
             seen_in[(v, lab)] = u
         if merge is None:
-            return es, rename
+            return es, root(base)
         a, b = sorted(merge)
         rename[b] = a
         es = {(root(u), lab, root(v)) for u, lab, v in es}
@@ -163,15 +164,8 @@ def _canonicalize(ambient_rank: int, es: set[Edge], base: int) -> CoreGraph:
 
 def fold(pre: PreGraph, base: int = 0) -> CoreGraph:
     """Fold, prune and canonicalize a pre-graph."""
-    es, rename = _fold_edges(list(pre.edges))
-
-    def root(v: int) -> int:
-        while v in rename:
-            v = rename[v]
-        return v
-
-    es = _prune(es, root(base))
-    return _canonicalize(pre.ambient_rank, es, root(base))
+    es, base = _fold_edges(list(pre.edges), base)
+    return _canonicalize(pre.ambient_rank, _prune(es, base), base)
 
 
 def from_generators(gens: list[Word], ambient_rank: int) -> CoreGraph:
@@ -300,18 +294,8 @@ def basis(H: CoreGraph) -> list[Word]:
             + [(lab, 1)]
             + [(g, -s) for g, s in reversed(_path_letters(H, parent, v))]
         )
-        out.append(Word(H.ambient_rank, letters=tuple(_free_reduce(letters))))
+        out.append(Word(H.ambient_rank, letters=free_reduce(letters)))
     return out
-
-
-def _free_reduce(letters):
-    stack = []
-    for g, s in letters:
-        if stack and stack[-1][0] == g and stack[-1][1] == -s:
-            stack.pop()
-        else:
-            stack.append((g, s))
-    return stack
 
 
 def rewrite_in_basis(J: CoreGraph, w: Word) -> Word:
@@ -343,7 +327,7 @@ def rewrite_in_basis(J: CoreGraph, w: Word) -> Word:
         cur = nxt
     if cur != 0:
         raise ValueError("word is not an element of the subgroup")
-    return Word(k, tuple(_free_reduce(out)))
+    return Word(k, free_reduce(out))
 
 
 # ----------------------------------------------------------------------
@@ -382,15 +366,8 @@ def quotients(H: CoreGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[CoreGr
     found: dict[bytes, CoreGraph] = {}
     for rgs in _set_partitions(n):
         edges = [(rgs[u], lab, rgs[v]) for u, lab, v in H.edges]
-        es, rename = _fold_edges(edges)
-
-        def root(v: int) -> int:
-            while v in rename:
-                v = rename[v]
-            return v
-
-        es = _prune(es, root(rgs[0]))
-        g = _canonicalize(H.ambient_rank, es, root(rgs[0]))
+        es, base = _fold_edges(edges, rgs[0])
+        g = _canonicalize(H.ambient_rank, _prune(es, base), base)
         found.setdefault(g.canonical_key, g)
     return sorted(found.values(), key=lambda g: (len(g.edges), g.canonical_key))
 
@@ -411,8 +388,3 @@ def to_dot(H: CoreGraph, name: str = "core") -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def is_basis_of_ambient(images: list[Word], rank: int) -> bool:
-    """Do the given words generate F_rank with the full rose as core graph?"""
-    g = from_generators(images, rank)
-    return g.is_rose and g.rank == rank

@@ -20,7 +20,7 @@ MAX_PARSED_LENGTH = 1_000_000
 Letter = tuple[int, int]  # (generator index, 1-based; sign +1/-1)
 
 
-def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
+def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
     for g, s in letters:
         if stack and stack[-1][0] == g and stack[-1][1] == -s:
@@ -76,7 +76,7 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         rank = max(self.ambient_rank, other.ambient_rank)
-        return Word(rank, _reduce(self.letters + other.letters))
+        return Word(rank, free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "Word":
         return Word(self.ambient_rank, tuple((g, -s) for g, s in reversed(self.letters)))
@@ -132,6 +132,10 @@ class _Parser:
         if got != ch:
             raise WordSyntaxError(f"expected {ch!r}", self.pos)
         self.pos += 1
+
+    def expect_end(self):
+        if self.peek() is not None:
+            raise WordSyntaxError(f"unexpected character {self.peek()!r}", self.pos)
 
     def parse_word(self) -> list[Letter]:
         out: list[Letter] = []
@@ -202,19 +206,37 @@ def parse(text: str, ambient_rank: int | None = None) -> Word:
     """
     p = _Parser(text)
     letters = p.parse_word()
-    if p.peek() is not None:
-        raise WordSyntaxError(f"unexpected character {p.peek()!r}", p.pos)
+    p.expect_end()
+    return _as_words([letters], ambient_rank)[0]
+
+
+def parse_list(text: str, ambient_rank: int | None = None) -> list[Word]:
+    """Parse comma-separated word literals, e.g. "[a,b], a^2".
+
+    Only top-level commas separate words.  Without `ambient_rank`, one
+    compact renumbering is shared by all the words, so "a^2,b" gives
+    a^2 and b in F_2.
+    """
+    p = _Parser(text)
+    items = [p.parse_word()]
+    while p.peek() == ",":
+        p.take()
+        items.append(p.parse_word())
+    p.expect_end()
+    return _as_words(items, ambient_rank)
+
+
+def _as_words(items: list[list[Letter]], ambient_rank: int | None) -> list[Word]:
+    used = sorted({g for letters in items for g, _ in letters})
     if ambient_rank is None:
-        remap = {g: i + 1 for i, g in enumerate(sorted({g for g, _ in letters}))}
-        letters = [(remap[g], s) for g, s in letters]
+        remap = {g: i + 1 for i, g in enumerate(used)}
+        items = [[(remap[g], s) for g, s in letters] for letters in items]
         ambient_rank = max(len(remap), 1)
-    else:
-        used = max((g for g, _ in letters), default=0)
-        if used > ambient_rank:
-            raise WordSyntaxError(
-                f"generator index {used} exceeds declared rank {ambient_rank}", 0
-            )
-    return Word(ambient_rank, _reduce(letters))
+    elif used and used[-1] > ambient_rank:
+        raise WordSyntaxError(
+            f"generator index {used[-1]} exceeds declared rank {ambient_rank}", 0
+        )
+    return [Word(ambient_rank, free_reduce(letters)) for letters in items]
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +259,7 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
     for g, s in w.letters:
         im = images[g - 1].letters
         out.extend(im if s == 1 else [(h, -t) for h, t in reversed(im)])
-    return Word(rank, _reduce(out))
+    return Word(rank, free_reduce(out))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -343,10 +365,6 @@ class WhiteheadMove:
                 f"move is defined on rank {self.rank}, word has rank {w.ambient_rank}"
             )
         return substitute(w.with_rank(self.rank), self.images())
-
-
-def apply_whitehead(move: WhiteheadMove, w: Word) -> Word:
-    return move.apply(w)
 
 
 def enumerate_whitehead_moves(rank: int) -> list[WhiteheadMove]:

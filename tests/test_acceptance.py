@@ -7,7 +7,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from wordmaps import cli, extensions, measures, mobius, perm_powers, stallings
+from wordmaps import extensions, measures, mobius, perm_powers, stallings
 from wordmaps.errors import HypothesisError
 from wordmaps.extensions import INFINITE_RANK
 from wordmaps.measures import compare_measures, phi_exact, trw_exact, trw_monte_carlo
@@ -209,19 +209,6 @@ def test_criterion_10b_aut_invariance(capfd):
         if trw_exact(move.apply(w), N) != trw_exact(w, N):
             ok = False
     report(capfd, 10, "trw is invariant under 20 random basis automorphisms at N <= 5", ok)
-
-
-def test_criterion_10c_parallel_determinism(capfd, tmp_path):
-    blobs = []
-    for workers in ("1", "4"):
-        f = tmp_path / f"w{workers}.csv"
-        rc = cli.main(
-            ["measure", "trw", "--word", "[x,y]", "--n", "3..5", "--exact",
-             "--workers", workers, "--out", str(f)]
-        )
-        assert rc == 0
-        blobs.append(f.read_bytes())
-    report(capfd, 10, "exact CSV artifacts are byte-identical for workers in {1, 4}", blobs[0] == blobs[1])
 
 
 def test_criterion_10d_monte_carlo_consistency(capfd):

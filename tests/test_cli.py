@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -71,20 +73,6 @@ def test_trw_csv_golden(capsys, tmp_path):
     assert lines[6].startswith("4,4,3,1.3333")
 
 
-def test_csv_workers_invariant(capsys, tmp_path):
-    files = []
-    for workers in (1, 4):
-        f = tmp_path / f"w{workers}.csv"
-        rc, _, _ = run(
-            capsys,
-            "measure", "trw", "--word", "[x,y]", "--n", "3..5", "--exact",
-            "--workers", str(workers), "--out", str(f),
-        )
-        assert rc == 0
-        files.append(f.read_bytes())
-    assert files[0] == files[1]
-
-
 def test_rerun_is_byte_identical(capsys, tmp_path):
     blobs = []
     for name in ("a.json", "b.json"):
@@ -153,6 +141,47 @@ def test_budget_exit_code(capsys):
         "measure", "trw", "--word", "[x,y]", "--n", "10", "--budget", "10",
     )
     assert rc == 4 and "budget" in err.lower()
+
+
+def test_budget_is_checked_without_building_huge_factorials(capsys):
+    rc, _, err = run(capsys, "measure", "trw", "--word", "[x,y]", "--n", "1000")
+    assert rc == 4 and "budget exceeded" in err
+
+
+def test_workers_option_is_gone(capsys):
+    rc, _, err = run(capsys, "measure", "trw", "--word", "[x,y]", "--n", "3", "--workers", "2")
+    assert rc == 2 and "--workers" in err
+
+
+def test_gens_list_keeps_bracket_commas(capsys):
+    rc, out, _ = run(
+        capsys, "mobius", "via-expansion", "--gens", "[a,b]", "--rank", "2", "--n", "3..5"
+    )
+    assert rc == 0
+    assert out.splitlines()[-3:] == ["3,3,2,1.5", "4,4,3,1.33333333333333", "5,5,4,1.25"]
+
+
+def test_word_list_shares_one_letter_map(capsys):
+    rc, out, _ = run(capsys, "graph", "fold", "--gens", "a^2,b")
+    assert rc == 0 and "rank 2" in out.splitlines()[0]
+    rc, out, _ = run(capsys, "word", "substitute", "--word", "[x,y]", "--images", "a^2,b")
+    assert rc == 0 and out.splitlines()[0] == "image: aabAAB"
+
+
+def _readme_examples() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [line for line in text.splitlines() if line.startswith("wordmaps ")]
+
+
+def test_readme_lists_cli_examples():
+    assert len(_readme_examples()) >= 10
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_cli_example_runs(capsys, line):
+    argv = shlex.split(line)[1:]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 0, err
 
 
 def test_power_gap_csv(capsys):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,9 +57,20 @@ def test_trw_budget():
         trw_exact(parse("[x,y]"), 12, budget=100)
 
 
-def test_trw_workers_agree():
-    w = parse("[x,y]")
-    assert trw_exact(w, 4, workers=1) == trw_exact(w, 4, workers=4)
+def test_budget_check_is_cheap_for_huge_N():
+    # (10^6!)^2 is never built: the check stops multiplying at the budget
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        trw_exact(parse("[x,y]"), 10**6)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_within_hom_budget_is_exact():
+    # (3!)^2 x 4 = 144
+    assert measures.within_hom_budget(3, 2, 4, 144)
+    assert not measures.within_hom_budget(3, 2, 4, 143)
+    assert measures.within_hom_budget(5, 1, 0, 120)
+    assert not measures.within_hom_budget(5, 1, 0, 119)
 
 
 # -- phi --------------------------------------------------------------
@@ -161,6 +174,11 @@ def test_mc_is_deterministic_for_seed():
     assert a != c
 
 
+def test_mc_value_is_pinned():
+    # one stream, Random("3/0"); renaming the stream changes this value
+    assert trw_monte_carlo(parse("[x,y]"), 5, 1000, seed=3) == (1.195, 0.038554655509567985)
+
+
 def test_mc_close_to_exact():
     w = parse("x^2")
     exact = float(trw_exact(w, 5))
@@ -186,3 +204,70 @@ def test_conjugation_invariance(text, N):
 def test_inverse_invariance(text, N):
     w = parse(text)
     assert trw_exact(w.inverse(), N) == trw_exact(w, N)
+
+
+# -- shared sweep vs all-tuples oracle --------------------------------
+
+
+def _oracle_images(letter_lists, r: int, N: int):
+    """Every tuple of Hom(F_r, S_N), no class collapse: the images of
+    each letter list, by direct right-action composition."""
+    for perms in itertools.product(itertools.permutations(range(N)), repeat=r):
+        images = []
+        for letters in letter_lists:
+            img = list(range(N))
+            for g, s in letters:
+                p = perms[g - 1]
+                img = [p[q] if s == 1 else p.index(q) for q in img]
+            images.append(img)
+        yield images
+
+
+def _oracle_cycle_type(img) -> tuple[int, ...]:
+    lengths, seen = [], set()
+    for i in range(len(img)):
+        if i not in seen:
+            n, j = 0, i
+            while j not in seen:
+                seen.add(j)
+                j = img[j]
+                n += 1
+            lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))
+
+
+# words that use a generator and its inverse (xyxY, x^2yXy, x^2y^2XY,
+# xyzXYZ; aB, [a,b], aBA) fail if the sweep pairs a coordinate with the
+# wrong inverse
+@pytest.mark.parametrize(
+    "text,max_N",
+    [("x", 5), ("x^2", 5), ("aab", 5), ("[x,y]", 5), ("xyxY", 5), ("x^2yXy", 5),
+     ("x^2y^2XY", 5), ("x^2y^3", 5), ("xyz", 4), ("xyzXYZ", 4)],
+)
+def test_measure_table_matches_all_tuples_oracle(text, max_N):
+    w = parse(text)
+    r = w.ambient_rank
+    for N in range(1, max_N + 1):
+        counts: dict = {}
+        for (img,) in _oracle_images([w.letters], r, N):
+            key = _oracle_cycle_type(img)
+            counts[key] = counts.get(key, 0) + 1
+        total = sum(counts.values())
+        want = {k: Fraction(c, total) for k, c in counts.items()}
+        assert word_measure_exact(w, N).as_dict == want, (text, N)
+
+
+@pytest.mark.parametrize(
+    "gens,r,max_N",
+    [(["a^2", "ab"], 2, 5), (["aB", "ab"], 2, 5), (["[a,b]", "a^2"], 2, 5),
+     (["aBA", "b^2"], 2, 5), (["ab", "bc"], 3, 4)],
+)
+def test_phi_matches_all_tuples_oracle(gens, r, max_N):
+    words = [parse(g, r) for g in gens]
+    for N in range(1, max_N + 1):
+        total = 0
+        count = 0
+        for images in _oracle_images([w.letters for w in words], r, N):
+            total += sum(1 for q in range(N) if all(img[q] == q for img in images))
+            count += 1
+        assert phi_exact(words, r, N) == Fraction(total, count), (gens, N)

@@ -141,6 +141,13 @@ def test_obstruction_finds_witness_for_x2y2():
     assert not is_dth_power(img, 2)
 
 
+def test_obstruction_witness_follows_sweep_order():
+    # the exhaustive search visits class representatives in partition
+    # order, then the second coordinate in itertools.permutations order
+    v = word_power_obstruction(parse("x^2y^2"), 2, [2, 3, 4, 5, 6])
+    assert [format_cycles(p) for p in v.witness_tuple] == ["(1 2 3 4 5 6)", "(4 5 6)"]
+
+
 def test_obstruction_finds_witness_for_commutator():
     v = word_power_obstruction(parse("[x,y]"), 2, [2, 3, 4, 5, 6])
     assert v.conclusive and v.witness_degree == 6

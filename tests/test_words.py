@@ -4,12 +4,12 @@ from hypothesis import given, settings, strategies as st
 from wordmaps.errors import WordSyntaxError
 from wordmaps.words import (
     Word,
-    apply_whitehead,
     cyclic_reduce,
     enumerate_whitehead_moves,
     is_dth_power_in_free,
     maximal_root,
     parse,
+    parse_list,
     substitute,
 )
 
@@ -22,9 +22,9 @@ letters = st.tuples(st.integers(1, 3), st.sampled_from([1, -1]))
 @st.composite
 def words(draw, rank=3, max_len=12):
     raw = draw(st.lists(letters, max_size=max_len))
-    from wordmaps.words import _reduce
+    from wordmaps.words import free_reduce
 
-    return Word(rank, _reduce(raw))
+    return Word(rank, free_reduce(raw))
 
 
 # -- parsing ----------------------------------------------------------
@@ -35,6 +35,20 @@ def test_parse_basic_reduction():
     assert len(parse("xyXY")) == 4
     assert parse("x X") == Word(1, ())
     assert str(parse("1")) == "1"
+
+
+def test_parse_list_splits_at_top_level_commas_only():
+    assert [str(w) for w in parse_list("[a,b], a^2", 2)] == ["abAB", "aa"]
+    with pytest.raises(WordSyntaxError):
+        parse("a,b")
+
+
+def test_parse_list_shares_one_letter_map():
+    ws = parse_list("x^2,y")
+    assert [str(w) for w in ws] == ["aa", "b"]
+    assert all(w.ambient_rank == 2 for w in ws)
+    with pytest.raises(WordSyntaxError):
+        parse_list("a,c", 2)
 
 
 def test_parse_commutator_and_exponent():
@@ -176,6 +190,4 @@ def test_identity_substitution(w):
 def test_whitehead_is_homomorphism(u, v, idx):
     moves = enumerate_whitehead_moves(3)
     move = moves[idx % len(moves)]
-    assert apply_whitehead(move, u * v) == apply_whitehead(move, u) * apply_whitehead(
-        move, v
-    )
+    assert move.apply(u * v) == move.apply(u) * move.apply(v)
