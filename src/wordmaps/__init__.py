@@ -39,7 +39,6 @@ from .measures import (
     compare_measures,
     epi_image,
     phi_exact,
-    phi_relative_exact,
     trw_exact,
     trw_monte_carlo,
     word_measure_exact,

@@ -24,28 +24,23 @@ DEFAULT_STATE_CAP = 200_000
 INFINITE_RANK = math.inf
 
 
-def is_free_factor(
-    M: CoreGraph,
-    J: CoreGraph,
-    rank_cap: int = DEFAULT_RANK_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> bool:
+def is_free_factor(M: CoreGraph, J: CoreGraph) -> bool:
     """Decide whether M is a free factor of J (requires M <= J)."""
     if not stallings.subgroup_leq(M, J):
         raise ValueError("M is not a subgroup of J")
     if M == J or M.rank == 0:
         return True
     k = J.rank
-    if k > rank_cap:
-        raise BudgetExceededError(f"rank(J) = {k} exceeds the cap {rank_cap}")
+    if k > DEFAULT_RANK_CAP:
+        raise BudgetExceededError(f"rank(J) = {k} exceeds the cap {DEFAULT_RANK_CAP}")
     gens_in_j = [stallings.rewrite_in_basis(J, b) for b in stallings.basis(M)]
     inner = stallings.from_generators(gens_in_j, k)
     if inner.rank != M.rank:
         raise InternalInvariantError("rank changed while rewriting in a basis")
-    return _is_free_factor_of_ambient(inner, k, state_cap)
+    return _is_free_factor_of_ambient(inner, k)
 
 
-def _is_free_factor_of_ambient(M: CoreGraph, k: int, state_cap: int) -> bool:
+def _is_free_factor_of_ambient(M: CoreGraph, k: int) -> bool:
     """Is M a free factor of F_k?  Whitehead search, size non-increasing."""
     if M.is_rose:
         return True
@@ -64,9 +59,9 @@ def _is_free_factor_of_ambient(M: CoreGraph, k: int, state_cap: int) -> bool:
                 if h.is_rose:
                     return True
                 visited.add(h.canonical_key)
-                if len(visited) > state_cap:
+                if len(visited) > DEFAULT_STATE_CAP:
                     raise BudgetExceededError(
-                        f"Whitehead search exceeded {state_cap} states"
+                        f"Whitehead search exceeded {DEFAULT_STATE_CAP} states"
                     )
                 nxt.append(h)
         frontier = nxt
@@ -136,11 +131,7 @@ class ExtensionPoset:
         return "\n".join(lines) + "\n"
 
 
-def algebraic_extensions(
-    H: CoreGraph,
-    vertex_cap: int = stallings.DEFAULT_VERTEX_CAP,
-    rank_cap: int = DEFAULT_RANK_CAP,
-) -> ExtensionPoset:
+def algebraic_extensions(H: CoreGraph) -> ExtensionPoset:
     """Enumerate the algebraic extensions of H among its folded quotients.
 
     A quotient J is algebraic iff no other quotient A with A <= J is a
@@ -148,7 +139,7 @@ def algebraic_extensions(
     because the free-factor closure of H inside any such A is itself a
     quotient of Gamma(H).
     """
-    nodes = stallings.quotients(H, vertex_cap)
+    nodes = stallings.quotients(H)
     base_index = next(
         i for i, g in enumerate(nodes) if g.canonical_key == H.canonical_key
     )
@@ -159,7 +150,7 @@ def algebraic_extensions(
         for j in range(n)
     }
     ff_marks = {
-        (i, j): is_free_factor(nodes[i], nodes[j], rank_cap=rank_cap)
+        (i, j): is_free_factor(nodes[i], nodes[j])
         for i in range(n)
         for j in range(n)
         if i != j and leq[(i, j)]

@@ -1,26 +1,27 @@
 """Exact and Monte Carlo word measures on symmetric and finite groups.
 
 Exact values are arbitrary-precision rationals (`fractions.Fraction`).
-Every exact functional on S_N enumerates Hom(F_r, S_N) through one
-serial sweep, `class_collapsed_tuples`, which collapses the first
-coordinate by conjugacy class (the functionals are invariant under
-simultaneous conjugation).  The naive all-tuples path is kept as the
-trusted oracle for differential testing.  Monte Carlo draws from one
-stream seeded `Random(f"{seed}/0")`.
+Tr_w(N) and Phi_H(N) are sums over the folded quotients of Gamma(H).
+The measure tables on S_N enumerate Hom(F_r, S_N) through one serial
+sweep, `class_collapsed_tuples`, which collapses the first coordinate
+by conjugacy class (the tables are invariant under simultaneous
+conjugation).  The naive all-tuples path is kept as the trusted oracle
+for differential testing.  Monte Carlo draws from one stream seeded
+`Random(f"{seed}/0")`.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import BudgetExceededError
+from .stallings import from_generators, quotient_graphs
 from .words import Word
-
-ExactRational = Fraction
 
 DEFAULT_BUDGET = 10**9  # work units: tuples x word length
 CAYLEY_ORDER_CAP = 64
@@ -128,14 +129,6 @@ def _fix_count(letters, perms, invs, N: int) -> int:
     return sum(1 for q in range(N) if _trace_point(letters, perms, invs, q) == q)
 
 
-def _joint_fix_count(letter_lists, perms, invs, N: int) -> int:
-    count = 0
-    for q in range(N):
-        if all(_trace_point(ls, perms, invs, q) == q for ls in letter_lists):
-            count += 1
-    return count
-
-
 def evaluate_word(w: Word, perms: list[Perm]) -> Perm:
     """The image of w under x_i -> perms[i-1] (right action composition)."""
     invs = [invert(p) for p in perms]
@@ -187,18 +180,22 @@ def phi_exact(
     budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
     """Expected number of points fixed by every generator image under a
-    uniform homomorphism F_r -> S_N.  The trivial subgroup gives N."""
+    uniform homomorphism F_r -> S_N.  The trivial subgroup gives N.
+    Sums (N)_v(J) / prod_j (N)_e_j(J) over the quotients J of Gamma(H)
+    with v(J) <= N vertices and e_j(J) j-edges (Puder-Parzanchevski)."""
     del ambient_rank  # unused coordinates average out exactly
     letter_lists, r = _effective_letter_lists(H_gens)
     if r == 0:
         return Fraction(N)
     total_len = sum(len(ls) for ls in letter_lists)
     _check_budget(N, r, total_len, budget)
-    numer = sum(
-        size * _joint_fix_count(letter_lists, perms, invs, N)
-        for size, perms, invs in class_collapsed_tuples(N, r)
-    )
-    return Fraction(numer, math.factorial(N) ** r)
+    H = from_generators(H_gens, max(g.ambient_rank for g in H_gens))
+    labels = range(1, H.ambient_rank + 1)
+    numer = 0  # over (N!)^rank, as (N)_e = N! / (N - e)!
+    for v, edges in quotient_graphs(H, N):
+        e = Counter(lab for _, lab, _ in edges)
+        numer += math.perm(N, v) * math.prod(math.factorial(N - e[j]) for j in labels)
+    return Fraction(numer, math.factorial(N) ** H.ambient_rank)
 
 
 def trw_exact(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -206,25 +203,8 @@ def trw_exact(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     return phi_exact([w], w.ambient_rank, N, budget=budget)
 
 
-def phi_relative_exact(
-    H_gens_in_J_basis: list[Word],
-    k: int,
-    N: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Fraction:
-    """Phi of H relative to a free group J of rank k, via J ~ F_k."""
-    if k == 0:
-        return Fraction(N)
-    return phi_exact(
-        [g.with_rank(max(k, g.ambient_rank)) for g in H_gens_in_J_basis],
-        k,
-        N,
-        budget=budget,
-    )
-
-
 def trw_exact_naive(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """All-tuples oracle for trw_exact (no class collapse)."""
+    """All-tuples oracle for trw_exact: fixed points over Hom(F_r, S_N)."""
     letter_lists, r = _effective_letter_lists([w])
     if r == 0:
         return Fraction(N)
@@ -247,8 +227,8 @@ def trw_exact_naive(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
 class FiniteGroupTable:
     """A finite group presented by its full multiplication table.
 
-    Element 0 must be the identity.  All group axioms are checked at
-    construction; the first violation found is reported.
+    Element 0 must be the identity.  The order cap, then all group
+    axioms are checked at construction; the first violation is reported.
     """
 
     order: int
@@ -257,6 +237,8 @@ class FiniteGroupTable:
 
     def __post_init__(self):
         n = self.order
+        if n > CAYLEY_ORDER_CAP:
+            raise BudgetExceededError(f"group order {n} exceeds cap {CAYLEY_ORDER_CAP}")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("table is not n x n")
         for i, row in enumerate(self.table):
@@ -391,8 +373,6 @@ def word_measure_elementwise(
     """Element-level w-measure on a Cayley-table group."""
     letter_lists, r = _effective_letter_lists([w])
     n = G.order
-    if n > CAYLEY_ORDER_CAP:
-        raise BudgetExceededError(f"group order {n} exceeds cap {CAYLEY_ORDER_CAP}")
     if n**r * max(len(w), 1) > budget:
         raise BudgetExceededError("Cayley enumeration exceeds the budget")
     counts = [0] * n

@@ -6,7 +6,7 @@ R is defined per N by
     Phi_{H,J}(N) = sum over M with H <=_alg M <=_alg J of R_{H,M}(N),
 computed bottom-up over the finitely many algebraic extensions of H.
 Each Phi_{H,J} is evaluated after identifying J with F_rank(J) through
-its graph basis, so only Hom(J, S_N) is ever enumerated.
+its graph basis, as a sum over the quotients of H's graph in that basis.
 """
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import extensions, stallings
+from . import extensions, measures, stallings
 from .errors import HypothesisError
 from .extensions import INFINITE_RANK, ExtensionPoset
-from .measures import DEFAULT_BUDGET, phi_relative_exact, trw_exact
+from .measures import DEFAULT_BUDGET, trw_exact
 from .stallings import CoreGraph
 from .words import Word, maximal_root, substitute
 
@@ -38,11 +38,8 @@ class DerivationTable:
 
 
 def _phi_of_node(H: CoreGraph, J: CoreGraph, N: int, budget: int) -> Fraction:
-    k = J.rank
-    if k == 0:
-        return Fraction(N)
     gens = [stallings.rewrite_in_basis(J, b) for b in stallings.basis(H)]
-    return phi_relative_exact(gens, k, N, budget=budget)
+    return measures.phi_exact(gens, J.rank, N, budget=budget)
 
 
 def derive_R(
@@ -77,7 +74,7 @@ def phi_via_expansion(
     budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
     """Phi_{H,F}(N) as the sum of R over all algebraic extensions of H,
-    never enumerating Hom(F_r, S_N) itself."""
+    each Phi_{H,J} taken in a basis of J rather than in F_r."""
     if H.ambient_rank > ambient_rank:
         raise ValueError("graph rank exceeds the requested ambient rank")
     table = derive_R(H, N, budget=budget)

@@ -150,9 +150,7 @@ def dth_root(p: Perm, d: int) -> Perm | None:
 # ----------------------------------------------------------------------
 
 
-def moments_exact(
-    b: int, t: int, N: int, degree_cap: int = MOMENTS_DEGREE_CAP
-) -> tuple[Fraction, Fraction]:
+def moments_exact(b: int, t: int, N: int) -> tuple[Fraction, Fraction]:
     """Exact (E[c_t(sigma^b)], E[c_t^2(sigma^b)]) for uniform sigma in S_N.
 
     Requires b | t.  Aggregates the full enumeration of S_N by conjugacy
@@ -161,8 +159,8 @@ def moments_exact(
     """
     if t % b != 0:
         raise HypothesisError("b divides t", f"b={b}, t={t}")
-    if N > degree_cap:
-        raise BudgetExceededError(f"degree {N} exceeds cap {degree_cap}")
+    if N > MOMENTS_DEGREE_CAP:
+        raise BudgetExceededError(f"degree {N} exceeds cap {MOMENTS_DEGREE_CAP}")
     total1 = 0
     total2 = 0
     for size, (rep,), _ in class_collapsed_tuples(N, 1):
@@ -220,6 +218,7 @@ def word_power_obstruction(
     records the exact free-group answer from root extraction.
     """
     r = max(w.ambient_rank, 1)
+    wr = w.with_rank(r)
     free_side = is_dth_power_in_free(w, d)
     for N in N_range:
         if within_hom_budget(N, r, 1, OBSTRUCTION_EXHAUSTIVE_CAP):
@@ -241,7 +240,7 @@ def word_power_obstruction(
 
             candidates = sample()
         for perms in candidates:
-            img = evaluate_word(w.with_rank(r), list(perms))
+            img = evaluate_word(wr, list(perms))
             if not is_dth_power(img, d):
                 return ObstructionVerdict(
                     str(w), d, N, perms, tuple(N_range), free_side

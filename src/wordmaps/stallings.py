@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetExceededError, InternalInvariantError
-from .words import Word, free_reduce
+from .words import Letter, Word, free_reduce
 
 Edge = tuple[int, int, int]  # (tail, label, head)
 
@@ -237,7 +237,7 @@ def subgroup_leq(H: CoreGraph, J: CoreGraph) -> bool:
     return morphism(H, J) is not None
 
 
-def _spanning_tree(H: CoreGraph) -> tuple[list[tuple[Letter_, int] | None], list[Edge]]:
+def _spanning_tree(H: CoreGraph) -> tuple[list[tuple[Letter, int] | None], list[Edge]]:
     """BFS spanning tree in canonical order.
 
     Returns per-vertex (incoming tree step, parent) and the ordered list of
@@ -270,12 +270,9 @@ def _spanning_tree(H: CoreGraph) -> tuple[list[tuple[Letter_, int] | None], list
     return parent, non_tree
 
 
-Letter_ = tuple[int, int]
-
-
-def _path_letters(H: CoreGraph, parent, v: int) -> list[Letter_]:
+def _path_letters(H: CoreGraph, parent, v: int) -> list[Letter]:
     """Letters spelling the tree path base -> v."""
-    path: list[Letter_] = []
+    path: list[Letter] = []
     while v != 0:
         (lab, sign), p = parent[v]
         path.append((lab, sign))
@@ -308,7 +305,7 @@ def rewrite_in_basis(J: CoreGraph, w: Word) -> Word:
     edge_index = {e: i for i, e in enumerate(non_tree)}
     k = max(J.rank, 1)
     cur = 0
-    out: list[Letter_] = []
+    out: list[Letter] = []
     for g, s in w.letters:
         if s == 1:
             nxt = J.out_map.get((cur, g))
@@ -335,41 +332,77 @@ def rewrite_in_basis(J: CoreGraph, w: Word) -> Word:
 # ----------------------------------------------------------------------
 
 
-def _set_partitions(n: int):
-    """Restricted-growth-string enumeration of partitions of {0..n-1}."""
-    rgs = [0] * n
+def quotient_graphs(H: CoreGraph, max_vertices: int):
+    """Each folded quotient of Gamma(H) with at most `max_vertices`
+    vertices, once, as (vertex count, edges) with the base at 0.
 
-    def rec(i: int, maxval: int):
-        if i == n:
-            yield tuple(rgs)
-            return
-        for b in range(maxval + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxval, b))
-
-    yield from rec(1, 0) if n > 0 else iter(())
-
-
-def quotients(H: CoreGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> list[CoreGraph]:
-    """All folded vertex-identification quotients of Gamma(H), deduplicated.
-
-    These are the candidate overgroups hosting every algebraic extension
-    of H.  Bell-number growth is guarded by `vertex_cap`.
+    H's vertices are placed in canonical order on points 0, 1, ... (an
+    old point or the next new one) while every label stays a partial
+    injection.  A quotient is the image of the unique morphism out of
+    Gamma(H), so each one is reached once and needs no folding.
     """
     n = H.num_vertices
-    if n > vertex_cap:
+    # each edge is placed with its later endpoint; the first edge of a
+    # vertex joins it to an earlier one, loops come last
+    later: list[list[Edge]] = [[] for _ in range(n)]
+    for e in sorted(H.edges, key=lambda e: (max(e[0], e[2]), min(e[0], e[2]))):
+        later[max(e[0], e[2])].append(e)
+    f = [0] * n
+    out = [[None] * n for _ in range(H.ambient_rank + 1)]  # out[lab][point]
+    inc = [[None] * n for _ in range(H.ambient_rank + 1)]
+    edges: list[Edge] = []
+
+    def place(i: int, p: int) -> bool:
+        f[i] = p
+        for u, lab, v in later[i]:
+            a, b = f[u], f[v]
+            t = out[lab][a]
+            if t is None:
+                if inc[lab][b] is not None:
+                    return False
+                out[lab][a], inc[lab][b] = b, a
+                edges.append((a, lab, b))
+            elif t != b:
+                return False
+        return True
+
+    def forced(i: int) -> int | None:
+        u, lab, v = later[i][0]
+        return out[lab][f[u]] if v == i else inc[lab][f[v]]
+
+    # choice points: (vertex, candidate points, points in use, edges kept)
+    stack = [(0, iter(range(min(1, max_vertices))), 0, 0)]
+    while stack:
+        i, candidates, m, kept = stack[-1]
+        while len(edges) > kept:
+            a, lab, b = edges.pop()
+            out[lab][a] = inc[lab][b] = None
+        if (p := next(candidates, None)) is None:
+            stack.pop()
+            continue
+        m = max(m, p + 1)
+        ok = place(i, p)
+        i += 1
+        while ok and i < n and (p := forced(i)) is not None:
+            ok = place(i, p)
+            i += 1
+        if ok and i == n:
+            yield m, tuple(edges)
+        elif ok:
+            stack.append((i, iter(range(min(m + 1, max_vertices))), m, len(edges)))
+
+
+def quotients(H: CoreGraph) -> list[CoreGraph]:
+    """All folded vertex-identification quotients of Gamma(H), the
+    candidate overgroups hosting every algebraic extension of H; H may
+    have at most DEFAULT_VERTEX_CAP vertices."""
+    n = H.num_vertices
+    if n > DEFAULT_VERTEX_CAP:
         raise BudgetExceededError(
-            f"quotient enumeration needs {n} vertices, cap is {vertex_cap}"
+            f"quotient enumeration needs {n} vertices, cap is {DEFAULT_VERTEX_CAP}"
         )
-    if n == 0:
-        return [H]
-    found: dict[bytes, CoreGraph] = {}
-    for rgs in _set_partitions(n):
-        edges = [(rgs[u], lab, rgs[v]) for u, lab, v in H.edges]
-        es, base = _fold_edges(edges, rgs[0])
-        g = _canonicalize(H.ambient_rank, _prune(es, base), base)
-        found.setdefault(g.canonical_key, g)
-    return sorted(found.values(), key=lambda g: (len(g.edges), g.canonical_key))
+    found = [_canonicalize(H.ambient_rank, es, 0) for _, es in quotient_graphs(H, n)]
+    return sorted(found, key=lambda g: (len(g.edges), g.canonical_key))
 
 
 # ----------------------------------------------------------------------

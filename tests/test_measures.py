@@ -13,7 +13,6 @@ from wordmaps.measures import (
     compare_measures,
     epi_image,
     phi_exact,
-    phi_relative_exact,
     trw_exact,
     trw_exact_naive,
     trw_monte_carlo,
@@ -50,6 +49,26 @@ def test_trw_matches_naive():
         w = parse(text)
         for N in (2, 3):
             assert trw_exact(w, N) == trw_exact_naive(w, N)
+
+
+def test_trw_beyond_the_quotient_vertex_cap():
+    # Gamma([x,y]^4) has 16 vertices, more than `stallings.quotients` takes
+    w = parse("[x,y]^4")
+    for N in (2, 3, 4):
+        assert trw_exact(w, N) == trw_exact_naive(w, N)
+
+
+def test_trw_of_powers_counts_divisors():
+    # E[fix(sigma^d)] = #{t | d : t <= N}, the cycle lengths that divide d
+    for d in range(1, 13):
+        w = parse(f"x^{d}")
+        for N in range(1, 11):
+            assert trw_exact(w, N) == sum(1 for t in range(1, N + 1) if d % t == 0)
+
+
+def test_trw_of_commutator_closed_form():
+    for N in range(2, 8):
+        assert trw_exact(parse("[x,y]"), N) == Fraction(N, N - 1)
 
 
 def test_trw_budget():
@@ -97,8 +116,8 @@ def test_phi_joint_generators():
 
 
 def test_phi_relative_identifies_with_ambient():
-    assert phi_relative_exact([parse("a^2", 1)], 1, 3) == 2
-    assert phi_relative_exact([], 0, 7) == 7
+    assert phi_exact([parse("a^2", 1)], 1, 3) == 2
+    assert phi_exact([], 0, 7) == 7
 
 
 # -- Cayley tables ----------------------------------------------------
@@ -106,6 +125,13 @@ def test_phi_relative_identifies_with_ambient():
 
 def z3():
     return FiniteGroupTable.cyclic(3)
+
+
+def test_order_cap_is_checked_before_the_axioms():
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="group order 200 exceeds cap 64"):
+        FiniteGroupTable.cyclic(200)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_cyclic_table_valid():

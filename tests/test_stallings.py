@@ -108,6 +108,57 @@ def test_quotients_are_overgroups():
         assert stallings.subgroup_leq(H, q)
 
 
+def _restricted_growth_strings(n: int):
+    if n == 1:
+        yield (0,)
+        return
+    for rgs in _restricted_growth_strings(n - 1):
+        for b in range(max(rgs) + 2):
+            yield rgs + (b,)
+
+
+def _quotients_oracle(H):
+    """Merge every set partition of the vertices, fold, dedupe, sort."""
+    found = {}
+    for rgs in _restricted_growth_strings(H.num_vertices):
+        edges = [(rgs[u], lab, rgs[v]) for u, lab, v in H.edges]
+        g = fold(PreGraph(H.ambient_rank, max(rgs) + 1, edges))
+        found.setdefault(g.canonical_key, g)
+    return sorted(found.values(), key=lambda g: (len(g.edges), g.canonical_key))
+
+
+def _random_subgroup(rng: random.Random, max_vertices: int):
+    """A random subgroup whose core graph has 2..max_vertices vertices."""
+    while True:
+        H = fold(_random_pregraph(rng))
+        if 2 <= H.num_vertices <= max_vertices:
+            return H
+
+
+def test_quotients_match_partition_oracle():
+    rng = random.Random(20261018)
+    samples = [_random_subgroup(rng, 8) for _ in range(200)]
+    # roses, and vertices reached by an edge into an earlier vertex next
+    # to a loop of a smaller label
+    samples += [graph(g, r) for g, r in [
+        ([], 2), (["a", "c"], 3), (["bab^-1"], 2), (["b^-1ab"], 2),
+        (["b^-1a^2b", "c"], 3), (["a", "b^2", "bcB"], 3), (["ab^-1c"], 3),
+    ]]
+    # a loop, and a base of degree one (on a hair)
+    assert any(u == v for H in samples for u, _, v in H.edges)
+    assert any(sum((u == 0) + (v == 0) for u, _, v in H.edges) == 1 for H in samples)
+    for H in samples:
+        want = _quotients_oracle(H)
+        assert stallings.quotients(H) == want
+        # the vertex bound keeps exactly the small quotients, each once
+        k = max(1, H.num_vertices - 2)
+        small = [fold(PreGraph(H.ambient_rank, v, list(es)))
+                 for v, es in stallings.quotient_graphs(H, k)]
+        assert sorted(g.canonical_key for g in small) == sorted(
+            g.canonical_key for g in want if g.num_vertices <= k
+        )
+
+
 # -- canonicalization determinism -------------------------------------
 
 
