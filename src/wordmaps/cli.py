@@ -341,6 +341,8 @@ def cmd_measure_epiim(args):
 
 
 def cmd_mobius_derive(args):
+    if len(args.n) != 1:
+        raise ValueError("mobius derive takes a single N, not a range")
     H = _graph_from_args(args)
     table = mobius.derive_R(H, args.n[0], budget=args.budget)
     rows = []
@@ -511,7 +513,7 @@ def _add_common(p, out=True, fmt=None):
 
 def _add_budget(p):
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="work-unit cap for exact enumeration")
+                   help="cap: Tr/Phi quotient-search steps, or Hom tuples x word length")
 
 
 def build_parser() -> argparse.ArgumentParser:

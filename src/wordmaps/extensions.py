@@ -185,13 +185,9 @@ def pi_of_word(w: Word) -> float:
 
 
 def is_algebraic_in_ambient(H: CoreGraph, k: int) -> bool:
-    """Does H <= F_k hold with F_k an algebraic extension of H?"""
-    poset = algebraic_extensions(H)
+    """Is F_k an algebraic extension of H, i.e. is H in no proper free factor?"""
     top = stallings.rose(k)
-    for i, g in enumerate(poset.nodes):
-        if g == top:
-            return poset.alg_marks[i]
-    return False
+    return ff_closure(H, top) == top
 
 
 def pi_iota(

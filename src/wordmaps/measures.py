@@ -23,7 +23,7 @@ from .errors import BudgetExceededError
 from .stallings import from_generators, quotient_graphs
 from .words import Word
 
-DEFAULT_BUDGET = 10**9  # work units: tuples x word length
+DEFAULT_BUDGET = 10**9  # quotient-search steps (Tr/Phi), or tuples x word length
 CAYLEY_ORDER_CAP = 64
 
 Perm = tuple[int, ...]
@@ -182,20 +182,17 @@ def phi_exact(
     """Expected number of points fixed by every generator image under a
     uniform homomorphism F_r -> S_N.  The trivial subgroup gives N.
     Sums (N)_v(J) / prod_j (N)_e_j(J) over the quotients J of Gamma(H)
-    with v(J) <= N vertices and e_j(J) j-edges (Puder-Parzanchevski)."""
+    with v(J) <= N vertices and e_j(J) j-edges (Puder-Parzanchevski),
+    as integers over prod_j (N)_c_j with c_j = min(e_j(Gamma(H)), N):
+    the cost does not depend on N.  `budget` caps the search steps."""
     del ambient_rank  # unused coordinates average out exactly
-    letter_lists, r = _effective_letter_lists(H_gens)
-    if r == 0:
-        return Fraction(N)
-    total_len = sum(len(ls) for ls in letter_lists)
-    _check_budget(N, r, total_len, budget)
-    H = from_generators(H_gens, max(g.ambient_rank for g in H_gens))
-    labels = range(1, H.ambient_rank + 1)
-    numer = 0  # over (N!)^rank, as (N)_e = N! / (N - e)!
-    for v, edges in quotient_graphs(H, N):
+    H = from_generators(H_gens, max((g.ambient_rank for g in H_gens), default=1))
+    c = {j: min(k, N) for j, k in Counter(lab for _, lab, _ in H.edges).items()}
+    numer = 0  # (N)_c / (N)_e = (N - e)_(c - e), as e_j(J) <= c_j
+    for v, edges in quotient_graphs(H, N, budget):
         e = Counter(lab for _, lab, _ in edges)
-        numer += math.perm(N, v) * math.prod(math.factorial(N - e[j]) for j in labels)
-    return Fraction(numer, math.factorial(N) ** H.ambient_rank)
+        numer += math.perm(N, v) * math.prod(math.perm(N - e[j], c[j] - e[j]) for j in c)
+    return Fraction(numer, math.prod(math.perm(N, k) for k in c.values()))
 
 
 def trw_exact(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, HypothesisError
+from .errors import HypothesisError
 from .measures import (
     Perm,
     all_perms,
@@ -24,7 +24,6 @@ from .measures import (
 )
 from .words import Word, is_dth_power_in_free
 
-MOMENTS_DEGREE_CAP = 12
 OBSTRUCTION_EXHAUSTIVE_CAP = 2_000_000
 
 
@@ -153,22 +152,18 @@ def dth_root(p: Perm, d: int) -> Perm | None:
 def moments_exact(b: int, t: int, N: int) -> tuple[Fraction, Fraction]:
     """Exact (E[c_t(sigma^b)], E[c_t^2(sigma^b)]) for uniform sigma in S_N.
 
-    Requires b | t.  Aggregates the full enumeration of S_N by conjugacy
-    class (c_t of a power is a class function); the naive per-permutation
-    path is `moments_exact_naive`.
+    Requires b != 0, t >= 1 and b | t.  Then each |b|t-cycle of sigma
+    splits into |b| t-cycles of sigma^b and no other cycle gives one, and
+    E[c_L] = [L <= N] / L, E[c_L (c_L - 1)] = [2L <= N] / L^2.  The
+    oracle is `moments_exact_naive`.
     """
+    if b == 0 or t < 1:
+        raise ValueError(f"moments need b != 0 and t >= 1 (b={b}, t={t})")
     if t % b != 0:
         raise HypothesisError("b divides t", f"b={b}, t={t}")
-    if N > MOMENTS_DEGREE_CAP:
-        raise BudgetExceededError(f"degree {N} exceeds cap {MOMENTS_DEGREE_CAP}")
-    total1 = 0
-    total2 = 0
-    for size, (rep,), _ in class_collapsed_tuples(N, 1):
-        c = cycle_type(power_of_permutation(rep, b)).count(t)
-        total1 += size * c
-        total2 += size * c * c
-    fact = math.factorial(N)
-    return Fraction(total1, fact), Fraction(total2, fact)
+    L = abs(b) * t
+    first = Fraction(int(L <= N), t)
+    return first, abs(b) * first + Fraction(int(2 * L <= N), t * t)
 
 
 def moments_exact_naive(b: int, t: int, N: int) -> tuple[Fraction, Fraction]:

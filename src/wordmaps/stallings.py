@@ -332,14 +332,16 @@ def rewrite_in_basis(J: CoreGraph, w: Word) -> Word:
 # ----------------------------------------------------------------------
 
 
-def quotient_graphs(H: CoreGraph, max_vertices: int):
+def quotient_graphs(H: CoreGraph, max_vertices: int, budget: int | None = None):
     """Each folded quotient of Gamma(H) with at most `max_vertices`
     vertices, once, as (vertex count, edges) with the base at 0.
 
     H's vertices are placed in canonical order on points 0, 1, ... (an
     old point or the next new one) while every label stays a partial
     injection.  A quotient is the image of the unique morphism out of
-    Gamma(H), so each one is reached once and needs no folding.
+    Gamma(H), so each one is reached once and needs no folding.  Each
+    pass of the search loop is one step; a search that needs more than
+    `budget` steps raises BudgetExceededError.
     """
     n = H.num_vertices
     # each edge is placed with its later endpoint; the first edge of a
@@ -372,7 +374,13 @@ def quotient_graphs(H: CoreGraph, max_vertices: int):
 
     # choice points: (vertex, candidate points, points in use, edges kept)
     stack = [(0, iter(range(min(1, max_vertices))), 0, 0)]
+    steps = found = 0
     while stack:
+        if budget is not None and steps >= budget:
+            raise BudgetExceededError(
+                f"quotient search passed the budget {budget}: {steps} steps, {found} quotients"
+            )
+        steps += 1
         i, candidates, m, kept = stack[-1]
         while len(edges) > kept:
             a, lab, b = edges.pop()
@@ -387,6 +395,7 @@ def quotient_graphs(H: CoreGraph, max_vertices: int):
             ok = place(i, p)
             i += 1
         if ok and i == n:
+            found += 1
             yield m, tuple(edges)
         elif ok:
             stack.append((i, iter(range(min(m + 1, max_vertices))), m, len(edges)))

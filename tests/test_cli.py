@@ -143,9 +143,25 @@ def test_budget_exit_code(capsys):
     assert rc == 4 and "budget" in err.lower()
 
 
-def test_budget_is_checked_without_building_huge_factorials(capsys):
-    rc, _, err = run(capsys, "measure", "trw", "--word", "[x,y]", "--n", "1000")
-    assert rc == 4 and "budget exceeded" in err
+def test_trw_at_large_N_is_answered(capsys):
+    rc, out, _ = run(capsys, "measure", "trw", "--word", "[x,y]", "--n", "1000")
+    assert rc == 0 and out.splitlines()[-1].startswith("1000,1000,999,")
+
+
+def test_moments_reject_zero_b_and_nonpositive_t(capsys):
+    for b, t in (("0", "2"), ("1", "0"), ("2", "-2")):
+        rc, _, err = run(capsys, "perm", "moments", "--b", b, "--t", t, "--n", "4")
+        assert rc == 2 and "b != 0 and t >= 1" in err
+    # sigma^-1 has the cycle type of sigma
+    rc, out, _ = run(capsys, "perm", "moments", "--b", "-1", "--t", "2", "--n", "3..4")
+    assert rc == 0 and out.splitlines()[-2:] == ["3,1,2,0.5,1,2,0.5", "4,1,2,0.5,3,4,0.75"]
+
+
+def test_mobius_derive_rejects_a_range(capsys):
+    rc, _, err = run(
+        capsys, "mobius", "derive", "--gens", "[a,b]", "--rank", "2", "--n", "3..5"
+    )
+    assert rc == 2 and "single N" in err
 
 
 def test_workers_option_is_gone(capsys):

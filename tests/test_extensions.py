@@ -93,6 +93,16 @@ def test_pi_iota_rejects_non_algebraic_word():
         extensions.pi_iota([parse("ab", 2)], 2, [parse("a^2", 2), parse("b", 2)])
 
 
+@pytest.mark.parametrize(
+    "gens", [["[a,b]"], ["ab"], ["a^2b^2"], ["a^2"], ["aab"], ["a^2", "ab"], ["a^2", "b"], ["a^3", "b"]]
+)
+def test_algebraic_in_ambient_matches_poset_mark(gens):
+    H = graph(gens, 2)
+    poset = extensions.algebraic_extensions(H)
+    marks = [m for g, m in zip(poset.nodes, poset.alg_marks) if g == rose(2)]
+    assert extensions.is_algebraic_in_ambient(H, 2) == (marks == [True])
+
+
 def test_pi_iota_rejects_non_free_images():
     with pytest.raises(HypothesisError):
         extensions.pi_iota([parse("[a,b]", 2)], 2, [parse("a", 1), parse("a^2", 1)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordmaps import perm_powers
-from wordmaps.errors import BudgetExceededError, HypothesisError
+from wordmaps.errors import HypothesisError
 from wordmaps.perm_powers import (
     cycle_type,
     cycles,
@@ -98,8 +98,10 @@ def test_moments_known_values():
 
 
 def test_moments_match_naive():
-    for b, t, N in [(1, 1, 3), (1, 2, 4), (2, 2, 5), (1, 3, 5)]:
-        assert moments_exact(b, t, N) == moments_exact_naive(b, t, N)
+    for t in range(1, 9):
+        for b in (b for b in range(1, t + 1) if t % b == 0):
+            for N in range(1, 8):
+                assert moments_exact(b, t, N) == moments_exact_naive(b, t, N)
 
 
 def test_moments_validate_b_divides_t():
@@ -107,9 +109,10 @@ def test_moments_validate_b_divides_t():
         moments_exact(2, 3, 6)
 
 
-def test_moments_degree_cap():
-    with pytest.raises(BudgetExceededError):
-        moments_exact(1, 1, 13)
+def test_moments_at_large_degree():
+    for b, t in ((1, 1), (1, 3), (2, 2), (3, 6)):
+        for N in (50, 10**6):
+            assert moments_exact(b, t, N) == (Fraction(1, t), Fraction(b, t) + Fraction(1, t * t))
 
 
 def test_fixed_point_identity_of_powers():
