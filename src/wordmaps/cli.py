@@ -53,8 +53,13 @@ def parse_group(text: str):
     if text.startswith("S") and text[1:].isdigit():
         return int(text[1:])
     if text.startswith("cayley:"):
-        with open(text[len("cayley:") :]) as fh:
-            return FiniteGroupTable.from_json_dict(json.load(fh))
+        path = text[len("cayley:") :]
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as e:
+            raise ValueError(f"cannot read Cayley table {path!r}: {e.strerror}") from None
+        return FiniteGroupTable.from_json_dict(data)
     raise ValueError(f"unrecognized group specifier {text!r}")
 
 
@@ -737,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = mob.add_parser(
         "power-gap",
         help="gap between the expected fixed points of u^d and of u, "
-        "against the number of divisors of d minus one",
+        "against the number of divisors of |d| minus one (d != 0)",
     )
     p.add_argument("--word", required=True)
     p.add_argument("--rank", type=int)

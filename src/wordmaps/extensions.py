@@ -162,12 +162,9 @@ def algebraic_extensions(H: CoreGraph) -> ExtensionPoset:
     return ExtensionPoset(H, nodes, base_index, leq, ff_marks, alg_marks)
 
 
-def pi_details(
-    H: CoreGraph, poset: ExtensionPoset | None = None
-) -> tuple[float, int, list[CoreGraph]]:
+def pi_details(H: CoreGraph) -> tuple[float, int, list[CoreGraph]]:
     """(pi, C, minimal-rank extensions) for the primitivity rank of H."""
-    poset = poset if poset is not None else algebraic_extensions(H)
-    proper = poset.proper_algebraic_nodes()
+    proper = algebraic_extensions(H).proper_algebraic_nodes()
     if not proper:
         return INFINITE_RANK, 0, []
     m = min(g.rank for g in proper)

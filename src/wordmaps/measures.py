@@ -2,12 +2,14 @@
 
 Exact values are arbitrary-precision rationals (`fractions.Fraction`).
 Tr_w(N) and Phi_H(N) are sums over the folded quotients of Gamma(H).
-The measure tables on S_N enumerate Hom(F_r, S_N) through one serial
+Word measures, their comparison and epimorphism images enumerate
+Hom(F_r, G), for G = S_N or a Cayley table alike, through one serial
 sweep, `class_collapsed_tuples`, which collapses the first coordinate
-by conjugacy class (the tables are invariant under simultaneous
-conjugation).  The naive all-tuples path is kept as the trusted oracle
-for differential testing.  Monte Carlo draws from one stream seeded
-`Random(f"{seed}/0")`.
+by conjugacy class (each of these is invariant under simultaneous
+conjugation).  A word is evaluated on permutations by `word_image`.
+The naive all-tuples `trw_exact_naive` is kept as the trusted oracle
+for differential testing.  Monte Carlo draws `random_tuple`s from one
+stream seeded `Random(f"{seed}/0")`.
 """
 from __future__ import annotations
 
@@ -96,21 +98,28 @@ def cycle_type_key(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(map(len, cycles(p)), reverse=True))
 
 
-def class_collapsed_tuples(N: int, r: int):
-    """Hom(F_r, S_N) with the first coordinate collapsed by conjugacy class.
+def class_collapsed_tuples(group: "int | FiniteGroupTable", r: int):
+    """Hom(F_r, G) with the first coordinate collapsed by conjugacy class.
 
-    Yields (class size, perms, inverses): the first coordinate runs over
-    one representative per class in partition order, the other r - 1
-    over all of S_N in `itertools.product` order.  Weighting a function
-    invariant under simultaneous conjugation by the class size sums it
-    over all (N!)^r tuples.
+    `group` is an S_N degree N or a Cayley table; r >= 1.  Yields
+    (class size, elements, inverses): the first coordinate runs over one
+    representative per class (S_N: in partition order; a table: the
+    least element of each class, in `conjugacy_classes` order), the
+    other r - 1 over all of G in `itertools.product` order.  Weighting a
+    function invariant under simultaneous conjugation by the class size
+    sums it over all |G|^r tuples.
     """
-    pool = all_perms(N) if r > 1 else []
-    inv_pool = [invert(p) for p in pool]
-    for lam in _partitions(N):
-        rep = _class_rep(lam)
-        size = _class_size(lam, N)
-        head, head_inv = (rep,), (invert(rep),)
+    if isinstance(group, FiniteGroupTable):
+        classes = [(cls[0], len(cls)) for cls in group.conjugacy_classes]
+        inverse = group.inverse.__getitem__
+        pool = list(range(group.order)) if r > 1 else []
+    else:
+        classes = [(_class_rep(lam), _class_size(lam, group)) for lam in _partitions(group)]
+        inverse = invert
+        pool = all_perms(group) if r > 1 else []
+    inv_pool = [inverse(p) for p in pool]
+    for rep, size in classes:
+        head, head_inv = (rep,), (inverse(rep),)
         # the two products walk in lockstep, so rest_inv inverts rest
         for rest, rest_inv in zip(
             itertools.product(pool, repeat=r - 1),
@@ -119,21 +128,23 @@ def class_collapsed_tuples(N: int, r: int):
             yield size, head + rest, head_inv + rest_inv
 
 
-def _trace_point(letters, perms, invs, q: int) -> int:
+def word_image(letters, perms, invs) -> Perm:
+    """The image of a letter sequence under x_i -> perms[i-1], given
+    invs[i-1] = perms[i-1]^-1 (right action: the first letter acts first)."""
+    img = range(len(perms[0])) if perms else ()
     for g, s in letters:
-        q = perms[g - 1][q] if s == 1 else invs[g - 1][q]
-    return q
+        p = perms[g - 1] if s == 1 else invs[g - 1]
+        img = [p[q] for q in img]
+    return tuple(img)
 
 
-def _fix_count(letters, perms, invs, N: int) -> int:
-    return sum(1 for q in range(N) if _trace_point(letters, perms, invs, q) == q)
+def fixed_points(p: Perm) -> int:
+    return sum(1 for q, x in enumerate(p) if q == x)
 
 
 def evaluate_word(w: Word, perms: list[Perm]) -> Perm:
     """The image of w under x_i -> perms[i-1] (right action composition)."""
-    invs = [invert(p) for p in perms]
-    N = len(perms[0]) if perms else 0
-    return tuple(_trace_point(w.letters, perms, invs, q) for q in range(N))
+    return word_image(w.letters, perms, [invert(p) for p in perms])
 
 
 def within_hom_budget(N: int, r: int, length: int, budget: int) -> bool:
@@ -164,13 +175,12 @@ def _check_budget(N: int, r: int, word_len: int, budget: int):
 # ----------------------------------------------------------------------
 
 
-def _effective_letter_lists(gens: list[Word]) -> tuple[list[tuple], int]:
-    """Renumber the generators actually used to 1..m (exact: unused
+def _effective_letters(w: Word) -> tuple[tuple, int]:
+    """Renumber the generators w uses to 1..m (exact: unused
     coordinates integrate out of the uniform average)."""
-    used = sorted({g for w in gens for g, _ in w.letters})
+    used = sorted({g for g, _ in w.letters})
     remap = {g: i + 1 for i, g in enumerate(used)}
-    lists = [tuple((remap[g], s) for g, s in w.letters) for w in gens]
-    return lists, len(used)
+    return tuple((remap[g], s) for g, s in w.letters), len(used)
 
 
 def phi_exact(
@@ -202,7 +212,7 @@ def trw_exact(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
 
 def trw_exact_naive(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     """All-tuples oracle for trw_exact: fixed points over Hom(F_r, S_N)."""
-    letter_lists, r = _effective_letter_lists([w])
+    letters, r = _effective_letters(w)
     if r == 0:
         return Fraction(N)
     _check_budget(N, r, len(w), budget)
@@ -211,7 +221,7 @@ def trw_exact_naive(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     total = 0
     for perms in itertools.product(perms_pool, repeat=r):
         invs = tuple(inv_pool[p] for p in perms)
-        total += _fix_count(letter_lists[0], perms, invs, N)
+        total += fixed_points(word_image(letters, perms, invs))
     return Fraction(total, math.factorial(N) ** r)
 
 
@@ -224,8 +234,9 @@ def trw_exact_naive(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
 class FiniteGroupTable:
     """A finite group presented by its full multiplication table.
 
-    Element 0 must be the identity.  The order cap, then all group
-    axioms are checked at construction; the first violation is reported.
+    Element 0 must be the identity.  The order cap, then the order and
+    the name count, then all group axioms are checked at construction;
+    the first violation is reported.
     """
 
     order: int
@@ -236,6 +247,10 @@ class FiniteGroupTable:
         n = self.order
         if n > CAYLEY_ORDER_CAP:
             raise BudgetExceededError(f"group order {n} exceeds cap {CAYLEY_ORDER_CAP}")
+        if n < 1:
+            raise ValueError(f"group order {n} is below 1")
+        if self.names and len(self.names) != n:
+            raise ValueError(f"{len(self.names)} names for a group of order {n}")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("table is not n x n")
         for i, row in enumerate(self.table):
@@ -256,10 +271,7 @@ class FiniteGroupTable:
 
     @cached_property
     def inverse(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for a in range(self.order):
-            inv[a] = next(b for b in range(self.order) if self.table[a][b] == 0)
-        return tuple(inv)
+        return tuple(row.index(0) for row in self.table)
 
     @cached_property
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
@@ -288,6 +300,14 @@ class FiniteGroupTable:
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
 
+    def word_image(self, letters, elems: tuple[int, ...], invs: tuple[int, ...]) -> int:
+        """The image of a letter sequence under x_i -> elems[i-1], given
+        invs[i-1] = elems[i-1]^-1."""
+        acc = 0
+        for g, s in letters:
+            acc = self.table[acc][elems[g - 1] if s == 1 else invs[g - 1]]
+        return acc
+
     @staticmethod
     def cyclic(n: int) -> "FiniteGroupTable":
         table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
@@ -295,19 +315,16 @@ class FiniteGroupTable:
 
     @staticmethod
     def from_json_dict(data: dict) -> "FiniteGroupTable":
-        return FiniteGroupTable(
-            int(data["order"]),
-            tuple(tuple(row) for row in data["table"]),
-            tuple(data.get("names", ())),
-        )
-
-
-def _evaluate_on_table(letters, G: FiniteGroupTable, elems: tuple[int, ...]) -> int:
-    acc = 0
-    for g, s in letters:
-        e = elems[g - 1] if s == 1 else G.inverse[elems[g - 1]]
-        acc = G.table[acc][e]
-    return acc
+        try:
+            return FiniteGroupTable(
+                int(data["order"]),
+                tuple(tuple(row) for row in data["table"]),
+                tuple(data.get("names", ())),
+            )
+        except KeyError as e:
+            raise ValueError(f"Cayley table JSON lacks the {e} key") from None
+        except TypeError as e:
+            raise ValueError(f"malformed Cayley table JSON: {e}") from None
 
 
 # ----------------------------------------------------------------------
@@ -333,63 +350,47 @@ class MeasureTable:
 def word_measure_exact(
     w: Word, group: "int | FiniteGroupTable", budget: int = DEFAULT_BUDGET
 ) -> MeasureTable:
-    """Exact w-measure; `group` is an S_N degree or a Cayley table."""
+    """Exact w-measure on an S_N degree (classes keyed by cycle type) or a
+    Cayley table (keyed by class index).
+
+    The images of w are tallied over the class-collapsed sweep, each
+    weighted by its class size, and then classified.  Unused generators
+    integrate out; the identity word needs no sweep.
+    """
+    letters, r = _effective_letters(w)
     if isinstance(group, FiniteGroupTable):
-        return _word_measure_table_group(w, group, budget)
-    return _word_measure_sn(w, group, budget)
-
-
-def _word_measure_sn(w: Word, N: int, budget: int) -> MeasureTable:
-    letter_lists, r = _effective_letter_lists([w])
-    counts: dict[tuple[int, ...], int] = {}
-    denom = 1
-    if r == 0:
-        counts[tuple([1] * N)] = 1
+        if group.order**r * max(len(w), 1) > budget:
+            raise BudgetExceededError("Cayley enumeration exceeds the budget")
+        label, identity = f"cayley:{group.order}", 0
+        image, classify = group.word_image, group.class_of.__getitem__
     else:
-        _check_budget(N, r, len(w), budget)
-        denom = math.factorial(N) ** r
-        # tally images first: there are at most N! of them to classify
-        by_image: dict[Perm, int] = {}
-        for size, perms, invs in class_collapsed_tuples(N, r):
-            img = tuple(
-                _trace_point(letter_lists[0], perms, invs, q) for q in range(N)
-            )
-            by_image[img] = by_image.get(img, 0) + size
-        for img, weight in by_image.items():
-            key = cycle_type_key(img)
-            counts[key] = counts.get(key, 0) + weight
-    support = tuple(
-        sorted((k, Fraction(v, denom)) for k, v in counts.items())
-    )
-    return MeasureTable(f"S{N}", support)
+        if r:
+            _check_budget(group, r, len(w), budget)
+        label, identity = f"S{group}", tuple(range(group))
+        image, classify = word_image, cycle_type_key
+    by_image = Counter() if r else Counter([identity])  # the identity word: no sweep
+    for size, elems, invs in class_collapsed_tuples(group, r) if r else ():
+        by_image[image(letters, elems, invs)] += size
+    # there are at most |G| images to classify
+    counts: Counter = Counter()
+    for img, weight in by_image.items():
+        counts[classify(img)] += weight
+    total = sum(counts.values())
+    return MeasureTable(label, tuple(sorted((k, Fraction(v, total)) for k, v in counts.items())))
 
 
 def word_measure_elementwise(
     w: Word, G: FiniteGroupTable, budget: int = DEFAULT_BUDGET
 ) -> dict[int, Fraction]:
-    """Element-level w-measure on a Cayley-table group."""
-    letter_lists, r = _effective_letter_lists([w])
-    n = G.order
-    if n**r * max(len(w), 1) > budget:
-        raise BudgetExceededError("Cayley enumeration exceeds the budget")
-    counts = [0] * n
-    if r == 0:
-        counts[0] = 1
-        denom = 1
-    else:
-        denom = n**r
-        for elems in itertools.product(range(n), repeat=r):
-            counts[_evaluate_on_table(letter_lists[0], G, elems)] += 1
-    return {a: Fraction(c, denom) for a, c in enumerate(counts) if c}
-
-
-def _word_measure_table_group(w: Word, G: FiniteGroupTable, budget: int) -> MeasureTable:
-    elem = word_measure_elementwise(w, G, budget)
-    agg: dict[int, Fraction] = {}
-    for a, p in elem.items():
-        ci = G.class_of[a]
-        agg[ci] = agg.get(ci, Fraction(0)) + p
-    return MeasureTable(f"cayley:{G.order}", tuple(sorted(agg.items())))
+    """Element-level w-measure on a Cayley-table group, derived from the
+    class measure: conjugation permutes Hom(F_r, G), so every element of
+    a class carries the class's mass divided by the class size."""
+    mass = word_measure_exact(w, G, budget).as_dict
+    return {
+        a: mass[ci] / len(G.conjugacy_classes[ci])
+        for a, ci in enumerate(G.class_of)
+        if ci in mass
+    }
 
 
 @dataclass(frozen=True)
@@ -422,28 +423,28 @@ def compare_measures(
 
 
 def epi_image(w: Word, G: FiniteGroupTable, budget: int = DEFAULT_BUDGET) -> set[int]:
-    """{phi(w) : phi surjective in Hom(F_r, G)}; empty if none exist."""
-    letter_lists, _ = _effective_letter_lists([w])
-    r = w.ambient_rank
-    n = G.order
-    if n**r > budget:
+    """{phi(w) : phi surjective in Hom(F_r, G)}; empty if none exist.
+
+    Walks the class-collapsed sweep over all r = `w.ambient_rank`
+    coordinates.  A conjugate of a surjection is a surjection, so each
+    generating tuple contributes the whole conjugacy class of its image.
+    """
+    if G.order**w.ambient_rank > budget:
         raise BudgetExceededError("epimorphism enumeration exceeds the budget")
-    letters = letter_lists[0] if letter_lists else ()
     out: set[int] = set()
-    for elems in itertools.product(range(n), repeat=r):
-        if not _generates(G, elems):
-            continue
-        out.add(_evaluate_on_table(letters, G, elems))
+    for _, elems, invs in class_collapsed_tuples(G, w.ambient_rank):
+        img = G.word_image(w.letters, elems, invs)
+        if img not in out and _generates(G, elems):
+            out.update(G.conjugacy_classes[G.class_of[img]])
     return out
 
 
 def _generates(G: FiniteGroupTable, elems: tuple[int, ...]) -> bool:
-    closure = {0}
-    frontier = [0]
-    gens = set(elems) | {G.inverse[e] for e in elems}
+    # in a finite group the monoid the elements generate is a subgroup
+    closure, frontier = {0}, [0]
     while frontier:
         a = frontier.pop()
-        for g in gens:
+        for g in elems:
             b = G.table[a][g]
             if b not in closure:
                 closure.add(b)
@@ -454,6 +455,17 @@ def _generates(G: FiniteGroupTable, elems: tuple[int, ...]) -> bool:
 # ----------------------------------------------------------------------
 # Monte Carlo
 # ----------------------------------------------------------------------
+
+
+def random_tuple(rng: random.Random, N: int, r: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
+    """r independent uniform permutations of degree N and their inverses,
+    one `rng.shuffle` of range(N) each."""
+    perms = []
+    for _ in range(r):
+        p = list(range(N))
+        rng.shuffle(p)
+        perms.append(tuple(p))
+    return tuple(perms), tuple(invert(p) for p in perms)
 
 
 def trw_monte_carlo(
@@ -469,20 +481,12 @@ def trw_monte_carlo(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    letter_lists, r = _effective_letter_lists([w])
-    letters = letter_lists[0] if letter_lists else ()
+    letters, r = _effective_letters(w)
     rng = random.Random(f"{seed}/0")
-    base = list(range(N))
-    total = 0
-    total_sq = 0
+    total = total_sq = 0
     for _ in range(samples):
-        perms = []
-        for _ in range(r):
-            p = base[:]
-            rng.shuffle(p)
-            perms.append(tuple(p))
-        invs = [invert(p) for p in perms]
-        f = _fix_count(letters, perms, invs, N) if letters else N
+        perms, invs = random_tuple(rng, N, r)
+        f = fixed_points(word_image(letters, perms, invs)) if r else N
         total += f
         total_sq += f * f
     mean = total / samples

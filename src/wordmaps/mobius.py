@@ -30,26 +30,15 @@ class DerivationTable:
     values: dict[int, Fraction]  # poset node index -> R_{H,node}(N)
     phi: dict[int, Fraction]  # poset node index -> Phi_{H,node}(N)
 
-    def value_at(self, node: CoreGraph) -> Fraction:
-        for i, g in enumerate(self.poset.nodes):
-            if g == node:
-                return self.values[i]
-        raise KeyError("node is not in the poset")
-
 
 def _phi_of_node(H: CoreGraph, J: CoreGraph, N: int, budget: int) -> Fraction:
     gens = [stallings.rewrite_in_basis(J, b) for b in stallings.basis(H)]
     return measures.phi_exact(gens, J.rank, N, budget=budget)
 
 
-def derive_R(
-    H: CoreGraph,
-    N: int,
-    poset: ExtensionPoset | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> DerivationTable:
+def derive_R(H: CoreGraph, N: int, budget: int = DEFAULT_BUDGET) -> DerivationTable:
     """Compute R_{H,J}(N) for every algebraic extension J of H."""
-    poset = poset if poset is not None else extensions.algebraic_extensions(H)
+    poset = extensions.algebraic_extensions(H)
     alg = poset.algebraic_indices()
     # topological order by number of algebraic predecessors
     alg_sorted = sorted(
@@ -229,13 +218,16 @@ def check_power_gap(
     N_range: list[int],
     budget: int = DEFAULT_BUDGET,
 ) -> PowerGapReport:
-    """Tabulate f_u(N) = Tr_{u^d}(N) - Tr_u(N) against delta(d) - 1."""
+    """Tabulate f_u(N) = Tr_{u^d}(N) - Tr_u(N) against delta(|d|) - 1
+    (Tr_{u^-d} = Tr_{u^d}); d = 0 is rejected."""
+    if d == 0:
+        raise ValueError("the power gap needs d != 0")
     if u.is_identity:
         raise HypothesisError("u is a non-power", "u is the identity")
     _, b = maximal_root(u)
     if b != 1:
         raise HypothesisError("u is a non-power", f"u is a proper {b}th power")
-    delta = divisor_count(d)
+    delta = divisor_count(abs(d))
     ud = u**d
     rows = []
     for N in N_range:

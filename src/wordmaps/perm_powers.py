@@ -13,14 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisError
-from .measures import (
+from .measures import (  # evaluate_word is re-exported: bench/tracer.py wraps it here
     Perm,
     all_perms,
     class_collapsed_tuples,
     cycles,
     evaluate_word,
     invert,
+    random_tuple,
     within_hom_budget,
+    word_image,
 )
 from .words import Word, is_dth_power_in_free
 
@@ -212,31 +214,18 @@ def word_power_obstruction(
     one); no witness is inconclusive from the S_N side.  The verdict also
     records the exact free-group answer from root extraction.
     """
-    r = max(w.ambient_rank, 1)
-    wr = w.with_rank(r)
+    r = w.ambient_rank
     free_side = is_dth_power_in_free(w, d)
     for N in N_range:
         if within_hom_budget(N, r, 1, OBSTRUCTION_EXHAUSTIVE_CAP):
             # whether the image is a d-th power is a class function of the
             # image, so the first coordinate ranges over class reps only
-            candidates = (perms for _, perms, _ in class_collapsed_tuples(N, r))
+            candidates = ((perms, invs) for _, perms, invs in class_collapsed_tuples(N, r))
         else:
             rng = random.Random(f"{seed}/{N}")
-            base = list(range(N))
-
-            def sample():
-                for _ in range(sample_budget):
-                    perms = []
-                    for _ in range(r):
-                        p = base[:]
-                        rng.shuffle(p)
-                        perms.append(tuple(p))
-                    yield tuple(perms)
-
-            candidates = sample()
-        for perms in candidates:
-            img = evaluate_word(wr, list(perms))
-            if not is_dth_power(img, d):
+            candidates = (random_tuple(rng, N, r) for _ in range(sample_budget))
+        for perms, invs in candidates:
+            if not is_dth_power(word_image(w.letters, perms, invs), d):
                 return ObstructionVerdict(
                     str(w), d, N, perms, tuple(N_range), free_side
                 )

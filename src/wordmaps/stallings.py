@@ -36,11 +36,11 @@ class PreGraph:
             raise ValueError(f"label {label} out of range")
         self.edges.append((tail, label, head))
 
-    def add_word_loop(self, w: Word, at: int = 0):
-        """Attach a loop at `at` spelling w (one edge per letter)."""
-        cur = at
+    def add_word_loop(self, w: Word):
+        """Attach a loop at the base spelling w (one edge per letter)."""
+        cur = 0
         for i, (g, s) in enumerate(w.letters):
-            nxt = at if i == len(w.letters) - 1 else self.new_vertex()
+            nxt = 0 if i == len(w.letters) - 1 else self.new_vertex()
             if s == 1:
                 self.add_edge(cur, g, nxt)
             else:
@@ -91,9 +91,9 @@ class CoreGraph:
 # ----------------------------------------------------------------------
 
 
-def _fold_edges(edges: list[Edge], base: int) -> tuple[set[Edge], int]:
-    """Identify edges until folded; returns the edge set and the vertex
-    that `base` became."""
+def _fold_edges(edges: list[Edge]) -> set[Edge]:
+    """Identify edges until folded.  A merge keeps the smaller vertex, so
+    the base 0 stays 0."""
     es = set(edges)
     rename: dict[int, int] = {}
 
@@ -116,36 +116,36 @@ def _fold_edges(edges: list[Edge], base: int) -> tuple[set[Edge], int]:
                 break
             seen_in[(v, lab)] = u
         if merge is None:
-            return es, root(base)
+            return es
         a, b = sorted(merge)
         rename[b] = a
         es = {(root(u), lab, root(v)) for u, lab, v in es}
 
 
-def _prune(es: set[Edge], base: int) -> set[Edge]:
-    """Iteratively delete hanging-tree vertices (degree <= 1, not base)."""
+def _prune(es: set[Edge]) -> set[Edge]:
+    """Iteratively delete hanging-tree vertices (degree <= 1, not the base 0)."""
     while True:
         degree: dict[int, int] = {}
         for u, _, v in es:
             degree[u] = degree.get(u, 0) + 1
             degree[v] = degree.get(v, 0) + 1
-        victims = {v for v, d in degree.items() if d <= 1 and v != base}
+        victims = {v for v, d in degree.items() if d <= 1 and v != 0}
         if not victims:
             return es
         es = {(u, lab, v) for u, lab, v in es if u not in victims and v not in victims}
 
 
-def _canonicalize(ambient_rank: int, es: set[Edge], base: int) -> CoreGraph:
+def _canonicalize(ambient_rank: int, es: set[Edge]) -> CoreGraph:
     out: dict[tuple[int, int], int] = {}
     inc: dict[tuple[int, int], int] = {}
-    vertices = {base}
+    vertices = {0}
     for u, lab, v in es:
         out[(u, lab)] = v
         inc[(v, lab)] = u
         vertices.add(u)
         vertices.add(v)
-    order = [base]
-    index = {base: 0}
+    order = [0]
+    index = {0: 0}
     i = 0
     while i < len(order):
         v = order[i]
@@ -162,10 +162,9 @@ def _canonicalize(ambient_rank: int, es: set[Edge], base: int) -> CoreGraph:
     return CoreGraph(ambient_rank, len(order), canon)
 
 
-def fold(pre: PreGraph, base: int = 0) -> CoreGraph:
-    """Fold, prune and canonicalize a pre-graph."""
-    es, base = _fold_edges(list(pre.edges), base)
-    return _canonicalize(pre.ambient_rank, _prune(es, base), base)
+def fold(pre: PreGraph) -> CoreGraph:
+    """Fold, prune and canonicalize a pre-graph based at vertex 0."""
+    return _canonicalize(pre.ambient_rank, _prune(_fold_edges(list(pre.edges))))
 
 
 def from_generators(gens: list[Word], ambient_rank: int) -> CoreGraph:
@@ -180,10 +179,9 @@ def from_generators(gens: list[Word], ambient_rank: int) -> CoreGraph:
     return fold(pre)
 
 
-def rose(ambient_rank: int, labels: list[int] | None = None) -> CoreGraph:
-    """The wedge of loops labeled by `labels` (default: every generator)."""
-    labels = labels if labels is not None else list(range(1, ambient_rank + 1))
-    return CoreGraph(ambient_rank, 1, tuple(sorted((0, lab, 0) for lab in labels)))
+def rose(ambient_rank: int) -> CoreGraph:
+    """The wedge of one loop per generator: the graph of F_r itself."""
+    return CoreGraph(ambient_rank, 1, tuple((0, lab, 0) for lab in range(1, ambient_rank + 1)))
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +408,7 @@ def quotients(H: CoreGraph) -> list[CoreGraph]:
         raise BudgetExceededError(
             f"quotient enumeration needs {n} vertices, cap is {DEFAULT_VERTEX_CAP}"
         )
-    found = [_canonicalize(H.ambient_rank, es, 0) for _, es in quotient_graphs(H, n)]
+    found = [_canonicalize(H.ambient_rank, es) for _, es in quotient_graphs(H, n)]
     return sorted(found, key=lambda g: (len(g.edges), g.canonical_key))
 
 
@@ -419,8 +417,8 @@ def quotients(H: CoreGraph) -> list[CoreGraph]:
 # ----------------------------------------------------------------------
 
 
-def to_dot(H: CoreGraph, name: str = "core") -> str:
-    lines = [f"digraph {name} {{"]
+def to_dot(H: CoreGraph) -> str:
+    lines = ["digraph core {"]
     lines.append('  v0 [shape=doublecircle, label="v0"];')
     for v in range(1, H.num_vertices):
         lines.append(f'  v{v} [shape=circle, label="v{v}"];')

@@ -226,3 +226,48 @@ def test_perm_obstruction_requires_seed(capsys):
         capsys, "perm", "obstruction", "--word", "x^2y^2", "--d", "2", "--n", "2..3"
     )
     assert rc == 2
+
+
+def test_power_gap_at_negative_d_uses_divisors_of_abs_d(capsys):
+    rc, out, _ = run(
+        capsys, "mobius", "power-gap", "--word", "a", "--rank", "1",
+        "--d", "-3", "--n", "3..5",
+    )
+    assert rc == 0
+    assert out.splitlines()[-3:] == ["3,1,1,1,0,1", "4,1,1,1,0,1", "5,1,1,1,0,1"]
+
+
+def test_power_gap_rejects_d_zero(capsys):
+    rc, _, err = run(
+        capsys, "mobius", "power-gap", "--word", "a", "--rank", "1",
+        "--d", "0", "--n", "3..5",
+    )
+    assert rc == 2 and "d != 0" in err
+
+
+def test_identity_word_table_on_a_large_symmetric_group(capsys):
+    rc, out, _ = run(capsys, "measure", "table", "--word", "1", "--group", "S30")
+    assert rc == 0 and out.splitlines()[-1] == '"' + " ".join(["1"] * 30) + '",1,1,1'
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (None, "cannot read Cayley table"),
+        ({"table": [[0]]}, "lacks the 'order' key"),
+        ({"order": 1}, "lacks the 'table' key"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "names": ["e"]}, "1 names for a group of order 2"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "a", "b"]}, "3 names"),
+        ({"order": 0, "table": []}, "group order 0 is below 1"),
+        ({"order": 2, "table": [[0, "a"], [1, 0]]}, "malformed Cayley table JSON"),
+    ],
+    ids=["missing-file", "no-order", "no-table", "short-names", "long-names", "order-0",
+         "wrong-type"],
+)
+def test_malformed_cayley_json_exits_2(capsys, tmp_path, data, message):
+    path = tmp_path / "g.json"
+    if data is not None:
+        path.write_text(json.dumps(data))
+    rc, out, err = run(capsys, "measure", "table", "--word", "x", "--group", f"cayley:{path}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1

@@ -298,3 +298,74 @@ def test_phi_matches_all_tuples_oracle(gens, r, max_N):
             total += sum(1 for q in range(N) if all(img[q] == q for img in images))
             count += 1
         assert phi_exact(words, r, N) == Fraction(total, count), (gens, N)
+
+
+# -- Cayley tables vs all-tuples oracle -------------------------------
+
+
+def _perm_table(gens) -> FiniteGroupTable:
+    """The Cayley table of the permutation group generated by gens,
+    identity first, composed first-left-then-right."""
+    n = len(gens[0])
+    elems = [tuple(range(n))]
+    for a in elems:
+        for g in gens:
+            b = tuple(g[q] for q in a)
+            if b not in elems:
+                elems.append(b)
+    index = {e: i for i, e in enumerate(elems)}
+    table = tuple(tuple(index[tuple(b[q] for q in a)] for b in elems) for a in elems)
+    return FiniteGroupTable(len(elems), table)
+
+
+def _oracle_table(w, G):
+    """Every tuple of Hom(F_r, G), no class collapse: (image counts by
+    element, the set of images of surjective tuples)."""
+    inverse = [next(b for b in range(G.order) if G.table[a][b] == 0) for a in range(G.order)]
+    counts = [0] * G.order
+    epi = set()
+    for elems in itertools.product(range(G.order), repeat=w.ambient_rank):
+        img = 0
+        for g, s in w.letters:
+            img = G.table[img][elems[g - 1] if s == 1 else inverse[elems[g - 1]]]
+        counts[img] += 1
+        reached, frontier = {0}, [0]
+        while frontier:
+            a = frontier.pop()
+            for e in elems:
+                for b in (G.table[a][e], G.table[a][inverse[e]]):
+                    if b not in reached:
+                        reached.add(b)
+                        frontier.append(b)
+        if len(reached) == G.order:
+            epi.add(img)
+    return counts, epi
+
+
+CAYLEY_GROUPS = {
+    **{f"Z{n}": FiniteGroupTable.cyclic(n) for n in range(1, 7)},
+    "S3": _perm_table([(1, 0, 2), (1, 2, 0)]),
+    "S4": _perm_table([(1, 0, 2, 3), (1, 2, 3, 0)]),
+    "A5": _perm_table([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]),
+}
+
+
+# the identity, a first and an unused coordinate at rank 2, [x,y]^2
+@pytest.mark.parametrize("name", sorted(CAYLEY_GROUPS))
+@pytest.mark.parametrize("text,rank", [("1", None), ("a", 2), ("b", 2), ("x^2", None),
+                                       ("[x,y]", None), ("[x,y]^2", None), ("x^2y^3", None)])
+def test_cayley_measures_match_all_tuples_oracle(name, text, rank):
+    G = CAYLEY_GROUPS[name]
+    w = parse(text, rank)
+    counts, epi = _oracle_table(w, G)
+    total = sum(counts)
+    assert measures.word_measure_elementwise(w, G) == {
+        a: Fraction(c, total) for a, c in enumerate(counts) if c
+    }
+    by_class: dict = {}
+    for a, c in enumerate(counts):
+        if c:
+            by_class[G.class_of[a]] = by_class.get(G.class_of[a], 0) + c
+    want = tuple(sorted((k, Fraction(c, total)) for k, c in by_class.items()))
+    assert word_measure_exact(w, G).support == want
+    assert epi_image(w, G) == epi

@@ -139,5 +139,15 @@ def test_power_gap_rejects_proper_power():
         mobius.check_power_gap(parse("a^2", 1), 2, [3])
 
 
+def test_power_gap_at_negative_d_matches_positive_d():
+    rep = mobius.check_power_gap(parse("a", 1), -3, list(range(3, 8)))
+    assert rep.delta == 2 and all(row.deviation == 0 for row in rep.rows)
+
+
+def test_power_gap_rejects_d_zero():
+    with pytest.raises(ValueError, match="d != 0"):
+        mobius.check_power_gap(parse("a", 1), 0, [3])
+
+
 def test_divisor_count():
     assert [mobius.divisor_count(d) for d in (1, 2, 3, 4, 6, 12)] == [1, 2, 2, 3, 4, 6]
