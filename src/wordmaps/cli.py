@@ -14,19 +14,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, extensions, measures, mobius, perm_powers, stallings
+from . import __version__
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     HypothesisError,
     InternalInvariantError,
     WordSyntaxError,
 )
-from .extensions import INFINITE_RANK
-from .measures import DEFAULT_BUDGET, FiniteGroupTable
 from .words import cyclic_reduce, maximal_root, parse, parse_list, substitute
+
+# Each cmd_* imports the library modules it calls, so that a command
+# loads only what it uses; the names below serve annotations only.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .stallings import CoreGraph
 
 
 # ----------------------------------------------------------------------
@@ -51,8 +58,13 @@ def parse_n_range(text: str) -> list[int]:
 def parse_group(text: str):
     """"S<k>" for a symmetric group, or "cayley:<path>" for a JSON table."""
     if text.startswith("S") and text[1:].isdigit():
-        return int(text[1:])
+        n = int(text[1:])
+        if n < 1:
+            raise ValueError(f"symmetric group degree must be positive in {text!r}")
+        return n
     if text.startswith("cayley:"):
+        from .measures import FiniteGroupTable
+
         path = text[len("cayley:") :]
         try:
             with open(path) as fh:
@@ -72,7 +84,7 @@ def _frac_fields(x: Fraction) -> list:
 
 
 def _pi_json(value: float):
-    return "infinity" if value == INFINITE_RANK else int(value)
+    return "infinity" if value == math.inf else int(value)
 
 
 # ----------------------------------------------------------------------
@@ -174,13 +186,17 @@ def cmd_word_substitute(args):
 # ----------------------------------------------------------------------
 
 
-def _graph_from_args(args) -> stallings.CoreGraph:
+def _graph_from_args(args) -> CoreGraph:
+    from . import stallings
+
     gens = parse_list(args.gens, args.rank)
     rank = args.rank or max(g.ambient_rank for g in gens)
     return stallings.from_generators([g.with_rank(rank) for g in gens], rank)
 
 
 def cmd_graph_fold(args):
+    from . import stallings
+
     g = _graph_from_args(args)
     if args.format == "dot":
         emit_dot(args, stallings.to_dot(g))
@@ -198,6 +214,8 @@ def cmd_graph_fold(args):
 
 
 def cmd_graph_export(args):
+    from . import stallings
+
     emit_dot(args, stallings.to_dot(_graph_from_args(args)))
 
 
@@ -207,6 +225,8 @@ def cmd_graph_export(args):
 
 
 def cmd_ext_ae(args):
+    from . import extensions
+
     poset = extensions.algebraic_extensions(_graph_from_args(args))
     if args.format == "dot":
         emit_dot(args, poset.to_dot())
@@ -220,6 +240,8 @@ def cmd_ext_ae(args):
 
 
 def cmd_ext_pi(args):
+    from . import extensions, stallings
+
     w = parse(args.word, args.rank)
     H = stallings.from_generators([w], w.ambient_rank)
     value, count, winners = extensions.pi_details(H)
@@ -235,6 +257,8 @@ def cmd_ext_pi(args):
 
 
 def cmd_ext_pi_iota(args):
+    from . import extensions
+
     gens = parse_list(args.gens, args.rank)
     images = parse_list(args.images, args.image_rank)
     value, count = extensions.pi_iota(gens, args.rank, images)
@@ -246,6 +270,8 @@ def cmd_ext_pi_iota(args):
 
 
 def cmd_ext_ff_closure(args):
+    from . import extensions, stallings
+
     H = _graph_from_args(args)
     if args.in_gens:
         J_gens = parse_list(args.in_gens, H.ambient_rank)
@@ -267,6 +293,8 @@ def cmd_ext_ff_closure(args):
 
 
 def cmd_measure_trw(args):
+    from . import measures
+
     w = parse(args.word, args.rank)
     rows = []
     if args.mc:
@@ -281,6 +309,8 @@ def cmd_measure_trw(args):
 
 
 def cmd_measure_phi(args):
+    from . import measures
+
     gens = parse_list(args.gens, args.rank)
     rows = [
         [N]
@@ -295,6 +325,8 @@ def cmd_measure_phi(args):
 def _class_label(key, group) -> str:
     if isinstance(key, tuple):
         return " ".join(str(t) for t in key)
+    from .measures import FiniteGroupTable
+
     if isinstance(group, FiniteGroupTable):
         rep = group.conjugacy_classes[key][0]
         return group.name_of(rep)
@@ -302,6 +334,8 @@ def _class_label(key, group) -> str:
 
 
 def cmd_measure_table(args):
+    from . import measures
+
     w = parse(args.word, args.rank)
     group = parse_group(args.group)
     table = measures.word_measure_exact(w, group, budget=args.budget)
@@ -313,6 +347,8 @@ def cmd_measure_table(args):
 
 
 def cmd_measure_compare(args):
+    from . import measures
+
     w1 = parse(args.w1, args.rank)
     w2 = parse(args.w2, args.rank)
     group = parse_group(args.group)
@@ -328,9 +364,11 @@ def cmd_measure_compare(args):
 
 
 def cmd_measure_epiim(args):
+    from . import measures
+
     w = parse(args.word, args.rank)
     group = parse_group(args.group)
-    if not isinstance(group, FiniteGroupTable):
+    if not isinstance(group, measures.FiniteGroupTable):
         raise ValueError("epiim requires a cayley:<path> group")
     image = sorted(measures.epi_image(w, group, budget=args.budget))
     emit_json(
@@ -346,6 +384,8 @@ def cmd_measure_epiim(args):
 
 
 def cmd_mobius_derive(args):
+    from . import mobius, stallings
+
     if len(args.n) != 1:
         raise ValueError("mobius derive takes a single N, not a range")
     H = _graph_from_args(args)
@@ -367,6 +407,8 @@ def cmd_mobius_derive(args):
 
 
 def cmd_mobius_via_expansion(args):
+    from . import mobius
+
     H = _graph_from_args(args)
     rank = args.rank or H.ambient_rank
     rows = [
@@ -380,6 +422,8 @@ def cmd_mobius_via_expansion(args):
 
 
 def cmd_mobius_fit(args):
+    from . import mobius
+
     w = parse(args.word, args.rank)
     fit = mobius.fit_expansion(w, args.n, budget=args.budget)
     emit_json(
@@ -397,6 +441,8 @@ def cmd_mobius_fit(args):
 
 
 def cmd_mobius_inequality(args):
+    from . import mobius
+
     w = parse(args.word, args.rank)
     images = parse_list(args.images, args.image_rank)
     report = mobius.check_substitution_inequality(w, images, args.n, budget=args.budget)
@@ -424,6 +470,8 @@ def cmd_mobius_inequality(args):
 
 
 def cmd_mobius_power_gap(args):
+    from . import mobius
+
     u = parse(args.word, args.rank)
     report = mobius.check_power_gap(u, args.d, args.n, budget=args.budget)
     rows = [
@@ -444,6 +492,8 @@ def cmd_mobius_power_gap(args):
 
 
 def cmd_perm_cycle_type(args):
+    from . import perm_powers
+
     p = perm_powers.parse_cycles(args.perm, args.degree)
     ct = perm_powers.cycle_type(p)
     emit_json(
@@ -454,12 +504,16 @@ def cmd_perm_cycle_type(args):
 
 
 def cmd_perm_is_power(args):
+    from . import perm_powers
+
     p = perm_powers.parse_cycles(args.perm, args.degree)
     ok = perm_powers.is_dth_power(p, args.d)
     emit_json(args, {"is_power": ok}, f"is a {args.d}th power: {ok}")
 
 
 def cmd_perm_root(args):
+    from . import perm_powers
+
     p = perm_powers.parse_cycles(args.perm, args.degree)
     root = perm_powers.dth_root(p, args.d)
     emit_json(
@@ -470,6 +524,8 @@ def cmd_perm_root(args):
 
 
 def cmd_perm_moments(args):
+    from . import perm_powers
+
     rows = []
     for N in args.n:
         first, second = perm_powers.moments_exact(args.b, args.t, N)
@@ -482,6 +538,8 @@ def cmd_perm_moments(args):
 
 
 def cmd_perm_obstruction(args):
+    from . import perm_powers
+
     w = parse(args.word, args.rank)
     verdict = perm_powers.word_power_obstruction(
         w, args.d, args.n, sample_budget=args.sample_budget, seed=args.seed

@@ -28,6 +28,13 @@ class HypothesisError(ValueError):
         self.detail = detail
 
 
+# Default work budget of the library and of the CLI's --budget: Tr/Phi
+# quotient-search steps, or Hom tuples x word length.  It lives here,
+# beside the error it triggers, so that building the CLI parser loads no
+# computing module.
+DEFAULT_BUDGET = 10**9
+
+
 class BudgetExceededError(RuntimeError):
     """The requested computation exceeds the configured work budget."""
 

@@ -163,7 +163,15 @@ def algebraic_extensions(H: CoreGraph) -> ExtensionPoset:
 
 
 def pi_details(H: CoreGraph) -> tuple[float, int, list[CoreGraph]]:
-    """(pi, C, minimal-rank extensions) for the primitivity rank of H."""
+    """(pi, C, minimal-rank extensions) for the primitivity rank of H.
+
+    The trivial subgroup gives (0, 1, [H]): following Puder-Parzanchevski,
+    pi(1) = 0 because 1 is not primitive in J = {1}, the one subgroup of
+    rank 0 that contains it.  Otherwise pi is infinite, with C = 0 and no
+    extensions, exactly when H has no proper algebraic extension.
+    """
+    if H.rank == 0:
+        return 0, 1, [H]
     proper = algebraic_extensions(H).proper_algebraic_nodes()
     if not proper:
         return INFINITE_RANK, 0, []

@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BudgetExceededError
-from .stallings import from_generators, quotient_graphs
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .words import Word
 
-DEFAULT_BUDGET = 10**9  # quotient-search steps (Tr/Phi), or tuples x word length
 CAYLEY_ORDER_CAP = 64
 
 Perm = tuple[int, ...]
@@ -195,6 +193,10 @@ def phi_exact(
     with v(J) <= N vertices and e_j(J) j-edges (Puder-Parzanchevski),
     as integers over prod_j (N)_c_j with c_j = min(e_j(Gamma(H)), N):
     the cost does not depend on N.  `budget` caps the search steps."""
+    # imported here so that the permutation code, which needs only the
+    # Hom sweep of this module, does not load the core-graph layer
+    from .stallings import from_generators, quotient_graphs
+
     del ambient_rank  # unused coordinates average out exactly
     H = from_generators(H_gens, max((g.ambient_rank for g in H_gens), default=1))
     c = {j: min(k, N) for j, k in Counter(lab for _, lab, _ in H.edges).items()}

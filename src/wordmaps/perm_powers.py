@@ -212,8 +212,12 @@ def word_power_obstruction(
 
     A witness proves w is not a d-th power (its image would have to be
     one); no witness is inconclusive from the S_N side.  The verdict also
-    records the exact free-group answer from root extraction.
+    records the exact free-group answer from root extraction.  Degrees
+    past the exhaustive cap draw `sample_budget` seeded samples each; a
+    negative budget raises ValueError.
     """
+    if sample_budget < 0:
+        raise ValueError(f"sample budget must be non-negative, got {sample_budget}")
     r = w.ambient_rank
     free_side = is_dth_power_in_free(w, d)
     for N in N_range:

@@ -32,6 +32,21 @@ def test_parse_group_symmetric():
         cli.parse_group("D4")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["measure", "table", "--word", "x", "--group", "S0"], "degree must be positive"),
+        (["measure", "table", "--word", "x", "--group", "S00"], "degree must be positive"),
+        (["perm", "obstruction", "--word", "x^2y^2", "--d", "2", "--n", "2..3",
+          "--seed", "0", "--sample-budget", "-1"], "sample budget must be non-negative"),
+    ],
+    ids=["S0", "S00", "negative-sample-budget"],
+)
+def test_out_of_range_input_exits_2(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and message in err
+
+
 def test_parse_group_cayley(tmp_path):
     G = FiniteGroupTable.cyclic(4)
     path = tmp_path / "z4.json"
@@ -92,6 +107,11 @@ def test_ext_pi_json(capsys):
 def test_ext_pi_primitive_is_infinite(capsys):
     rc, out, _ = run(capsys, "ext", "pi", "--word", "xy")
     assert rc == 0 and '"pi": "infinity"' in out
+
+
+def test_ext_pi_of_the_trivial_word_is_zero(capsys):
+    rc, out, _ = run(capsys, "ext", "pi", "--word", "1", "--rank", "2")
+    assert rc == 0 and out.splitlines()[0] == "pi = 0, C = 1"
 
 
 def test_measure_compare_equal(capsys):

@@ -4,6 +4,7 @@ import pytest
 from wordmaps import extensions, stallings
 from wordmaps.errors import HypothesisError
 from wordmaps.extensions import INFINITE_RANK
+from wordmaps.measures import trw_exact
 from wordmaps.stallings import from_generators, rose
 from wordmaps.words import parse
 
@@ -79,6 +80,17 @@ def test_pi_values():
     assert extensions.pi_of_word(parse("a^2", 2)) == 1
     assert extensions.pi_details(graph(["[a,b]"], 2))[:2] == (2, 1)
     assert extensions.pi_details(graph(["a^2b^2"], 2))[:2] == (2, 1)
+
+
+def test_pi_of_the_trivial_word_is_zero_with_one_extension():
+    # pi(1) = 0, C = 1, attained by {1} itself; the leading term of
+    # Tr_1(N) = N = 1 + C N^(1 - pi) - 1 agrees
+    H = graph(["1"], 2)
+    assert extensions.pi_details(H) == (0, 1, [H])
+    assert extensions.pi_of_word(parse("1", 1)) == 0
+    pi, C, _ = extensions.pi_details(H)
+    for N in range(1, 8):
+        assert trw_exact(parse("1", 2), N) == N == 1 + C * N ** (1 - pi) - 1
 
 
 def test_pi_iota_commutator_substitution():

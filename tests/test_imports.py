@@ -1,0 +1,210 @@
+"""What a fresh interpreter loads, and every subcommand run as its own
+process.
+
+In-process tests share one interpreter, so a module that some earlier
+test imported hides a missing import in a command.  These tests start
+`python` anew for each case.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wordmaps
+from wordmaps import cli
+
+SRC = Path(wordmaps.__file__).resolve().parents[1]
+
+# Every name the package exported when `__init__` imported all modules.
+EXPORTS = [
+    ("errors", "BudgetExceededError"),
+    ("errors", "HypothesisError"),
+    ("errors", "InternalInvariantError"),
+    ("errors", "WordSyntaxError"),
+    ("words", "Word"),
+    ("words", "WhiteheadMove"),
+    ("words", "cyclic_reduce"),
+    ("words", "enumerate_whitehead_moves"),
+    ("words", "is_dth_power_in_free"),
+    ("words", "maximal_root"),
+    ("words", "parse"),
+    ("words", "substitute"),
+    ("stallings", "CoreGraph"),
+    ("stallings", "fold"),
+    ("stallings", "from_generators"),
+    ("stallings", "rose"),
+    ("extensions", "ExtensionPoset"),
+    ("extensions", "algebraic_extensions"),
+    ("extensions", "ff_closure"),
+    ("extensions", "is_free_factor"),
+    ("extensions", "pi"),
+    ("extensions", "pi_details"),
+    ("extensions", "pi_iota"),
+    ("extensions", "pi_of_word"),
+    ("measures", "FiniteGroupTable"),
+    ("measures", "MeasureComparison"),
+    ("measures", "MeasureTable"),
+    ("measures", "compare_measures"),
+    ("measures", "epi_image"),
+    ("measures", "phi_exact"),
+    ("measures", "trw_exact"),
+    ("measures", "trw_monte_carlo"),
+    ("measures", "word_measure_exact"),
+    ("mobius", "DerivationTable"),
+    ("mobius", "FitResult"),
+    ("mobius", "check_power_gap"),
+    ("mobius", "check_substitution_inequality"),
+    ("mobius", "derive_R"),
+    ("mobius", "fit_expansion"),
+    ("mobius", "phi_via_expansion"),
+    ("perm_powers", "CycleType"),
+    ("perm_powers", "cycle_type"),
+    ("perm_powers", "dth_root"),
+    ("perm_powers", "is_dth_power"),
+    ("perm_powers", "moments_exact"),
+    ("perm_powers", "parse_cycles"),
+    ("perm_powers", "power_of_permutation"),
+    ("perm_powers", "word_power_obstruction"),
+]
+
+
+def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def loaded_by_cli(*argv: str) -> set[str]:
+    """wordmaps modules loaded by `python -m wordmaps.cli ARGV`, as they
+    stand when the interpreter exits."""
+    script = (
+        "import atexit, json, runpy, sys; "
+        "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(sys.modules)))); "
+        "runpy.run_module('wordmaps.cli', run_name='__main__', alter_sys=True)"
+    )
+    proc = python("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return {m for m in json.loads(proc.stderr) if m.startswith("wordmaps.")}
+
+
+# -- import graph -----------------------------------------------------
+
+
+def test_import_wordmaps_loads_only_errors():
+    proc = python(
+        "-c",
+        "import json, sys, wordmaps; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('wordmaps'))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["wordmaps", "wordmaps.errors"]
+
+
+def test_word_root_loads_no_computing_module():
+    loaded = loaded_by_cli("word", "root", "--word", "x^4")
+    assert "wordmaps.words" in loaded
+    assert not loaded & {
+        f"wordmaps.{m}" for m in ("stallings", "extensions", "measures", "mobius", "perm_powers")
+    }
+
+
+def test_perm_cycle_type_loads_no_core_graph_module():
+    loaded = loaded_by_cli("perm", "cycle-type", "--perm", "(1 2 3)", "--degree", "4")
+    assert "wordmaps.perm_powers" in loaded
+    assert not loaded & {f"wordmaps.{m}" for m in ("stallings", "extensions", "mobius")}
+
+
+def test_every_old_export_resolves_to_its_submodule_object():
+    script = f"""
+import importlib, json, wordmaps
+listed = set(dir(wordmaps))
+star = {{}}
+exec("from wordmaps import *", star)
+bad = []
+for module, name in {EXPORTS!r}:
+    want = getattr(importlib.import_module("wordmaps." + module), name)
+    if name not in listed or star.get(name) is not want or getattr(wordmaps, name) is not want:
+        bad.append(name)
+print(json.dumps(bad))
+"""
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_submodules_and_unknown_names():
+    assert wordmaps.measures.trw_exact is wordmaps.trw_exact
+    assert sorted(wordmaps.__all__) == sorted(name for _, name in EXPORTS)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wordmaps.no_such_name
+
+
+# -- every subcommand in a fresh process ------------------------------
+
+CAYLEY_Z3 = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+
+SUBCOMMANDS = {
+    ("word", "parse"): ["--word", "xyXY"],
+    ("word", "reduce"): ["--word", "yxyY"],
+    ("word", "root"): ["--word", "x^4"],
+    ("word", "substitute"): ["--word", "[x,y]", "--images", "a^2,b"],
+    ("graph", "fold"): ["--gens", "a^2,ab"],
+    ("graph", "export"): ["--gens", "a^2,ab", "--rank", "2"],
+    ("ext", "ae"): ["--gens", "a^2,ab", "--rank", "2"],
+    ("ext", "pi"): ["--word", "a^2", "--rank", "2"],
+    ("ext", "pi-iota"): ["--gens", "[a,b]", "--rank", "2", "--images", "a^2,b"],
+    ("ext", "ff-closure"): ["--gens", "a^2", "--rank", "2"],
+    ("measure", "trw"): ["--word", "x^2", "--n", "2..3"],
+    ("measure", "phi"): ["--gens", "a^2,ab", "--rank", "2", "--n", "2"],
+    ("measure", "table"): ["--word", "x^2", "--group", "S3"],
+    ("measure", "compare"): ["--w1", "[x,y]", "--w2", "xyxY", "--group", "S3"],
+    ("measure", "epiim"): ["--word", "x", "--group", "cayley:z3.json"],
+    ("mobius", "derive"): ["--gens", "a^2", "--rank", "1", "--n", "3"],
+    ("mobius", "via-expansion"): ["--gens", "a^2", "--rank", "1", "--n", "3"],
+    ("mobius", "fit"): ["--word", "a^2", "--n", "3..5"],
+    ("mobius", "inequality"): ["--word", "[a,b]", "--rank", "2", "--images", "a^2,b",
+                               "--n", "3"],
+    ("mobius", "power-gap"): ["--word", "a", "--rank", "1", "--d", "2", "--n", "3"],
+    ("perm", "cycle-type"): ["--perm", "(1 2 3)", "--degree", "4"],
+    ("perm", "is-power"): ["--perm", "(1 2)(3 4)", "--degree", "4", "--d", "2"],
+    ("perm", "root"): ["--perm", "(1 2)(3 4)", "--degree", "4", "--d", "2"],
+    ("perm", "moments"): ["--b", "2", "--t", "2", "--n", "4"],
+    ("perm", "obstruction"): ["--word", "x^2", "--d", "2", "--n", "2..3", "--seed", "0"],
+}
+
+
+def test_every_subcommand_has_a_fresh_process_case():
+    groups = cli.build_parser()._subparsers._group_actions[0].choices
+    listed = {
+        (group, sub)
+        for group, parser in groups.items()
+        for sub in parser._subparsers._group_actions[0].choices
+    }
+    assert listed == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS), ids="-".join)
+def test_subcommand_runs_in_a_fresh_process(tmp_path, command):
+    (tmp_path / "z3.json").write_text(json.dumps(CAYLEY_Z3))
+    proc = python(
+        "-m", "wordmaps.cli", *command, *SUBCOMMANDS[command], "--out", "artifact",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "artifact").read_text().strip()
+
+
+@pytest.mark.parametrize("group", [None, "word", "graph", "ext", "measure", "mobius", "perm"])
+def test_help_runs_in_a_fresh_process(group):
+    proc = python("-m", "wordmaps.cli", *filter(None, [group]), "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: wordmaps")

@@ -80,6 +80,12 @@ def test_fit_primitive_reports_infinite():
     assert fit.pi_combinatorial == INFINITE_RANK
 
 
+def test_fit_of_the_trivial_word_agrees_with_pi_zero():
+    fit = mobius.fit_expansion(parse("1", 1), [3, 4, 5, 6])
+    assert fit.pi_estimate == fit.pi_combinatorial == 0
+    assert fit.c_combinatorial == 1
+
+
 def test_fit_needs_three_points():
     with pytest.raises(ValueError):
         mobius.fit_expansion(parse("[a,b]", 2), [4, 5])

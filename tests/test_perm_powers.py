@@ -151,6 +151,11 @@ def test_obstruction_witness_follows_sweep_order():
     assert [format_cycles(p) for p in v.witness_tuple] == ["(1 2 3 4 5 6)", "(4 5 6)"]
 
 
+def test_obstruction_rejects_a_negative_sample_budget():
+    with pytest.raises(ValueError, match="sample budget"):
+        word_power_obstruction(parse("x^2y^2"), 2, [2, 3], sample_budget=-1)
+
+
 def test_obstruction_finds_witness_for_commutator():
     v = word_power_obstruction(parse("[x,y]"), 2, [2, 3, 4, 5, 6])
     assert v.conclusive and v.witness_degree == 6
