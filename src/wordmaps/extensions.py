@@ -1,11 +1,16 @@
 """Free-factor detection, algebraic extensions and primitivity ranks.
 
 A subgroup M of a free group J is a free factor when some basis of M
-extends to a basis of J.  The decision procedure re-expresses M in a
-basis of J and runs an exhaustive, size-non-increasing search over
-Whitehead automorphisms: M is a free factor of F_k exactly when the
-search reaches a core graph that is a wedge of distinctly-labeled loops
-at the base.  Peak reduction makes the non-increasing search complete.
+extends to a basis of J.  The decision is a chain of exact reductions
+on the morphism f: Gamma(M) -> Gamma(J), ending, for the pairs none of
+them settles, in a search.  The image subgraph I = f(Gamma(M)) is a
+subgraph of Gamma(J) and so a free factor of J; hence M is a free
+factor of J exactly when it is one of I, and a proper free factor has
+strictly smaller rank.  The search re-expresses M in a basis of I and
+runs an exhaustive, size-non-increasing search over Whitehead
+automorphisms of F_rank(I): M is a free factor exactly when the search
+reaches a core graph that is a wedge of distinctly-labeled loops at the
+base.  Peak reduction makes the non-increasing search complete.
 """
 from __future__ import annotations
 
@@ -25,19 +30,60 @@ INFINITE_RANK = math.inf
 
 
 def is_free_factor(M: CoreGraph, J: CoreGraph) -> bool:
-    """Decide whether M is a free factor of J (requires M <= J)."""
-    if not stallings.subgroup_leq(M, J):
+    """Decide whether M is a free factor of J (requires M <= J).
+
+    With f: Gamma(M) -> Gamma(J) the morphism, each step is exact:
+    1. M == J or rank M = 0: True.
+    2. rank M >= rank J: False, since J = M * K with K != 1 has the
+       larger rank rank M + rank K.
+    3. f injective on vertices: True.  Gamma(M) is then a subgraph of
+       Gamma(J), and a spanning tree of it extends to one of Gamma(J),
+       so a basis of M is part of a basis of J.
+    4. Otherwise M <=_ff J iff M <=_ff I for the image subgraph I (a
+       free factor of J by step 3; a free factor of J inside I is one
+       of I by Kurosh), and rank M >= rank I gives False as in step 2.
+    5. Otherwise the Whitehead search on M rewritten in a basis of I,
+       whose rank, at most rank J, must not pass DEFAULT_RANK_CAP.
+    """
+    f = stallings.morphism(M, J)
+    if f is None:
         raise ValueError("M is not a subgroup of J")
+    return _decide([(M, J, f)])[0]
+
+
+def _reduce(M: CoreGraph, J: CoreGraph, f: list[int]) -> bool | CoreGraph:
+    """Steps 1-4 of `is_free_factor`: the answer, or M rewritten in a
+    basis of its image subgraph, the graph that the search must take."""
     if M == J or M.rank == 0:
         return True
-    k = J.rank
-    if k > DEFAULT_RANK_CAP:
-        raise BudgetExceededError(f"rank(J) = {k} exceeds the cap {DEFAULT_RANK_CAP}")
-    gens_in_j = [stallings.rewrite_in_basis(J, b) for b in stallings.basis(M)]
-    inner = stallings.from_generators(gens_in_j, k)
+    if M.rank >= J.rank:
+        return False
+    if len(set(f)) == len(f):
+        return True
+    image = stallings.image(M, f)
+    if M.rank >= image.rank:
+        return False
+    gens = [stallings.rewrite_in_basis(image, b) for b in stallings.basis(M)]
+    inner = stallings.from_generators(gens, image.rank)
     if inner.rank != M.rank:
         raise InternalInvariantError("rank changed while rewriting in a basis")
-    return _is_free_factor_of_ambient(inner, k)
+    return inner
+
+
+def _decide(pairs: list[tuple[CoreGraph, CoreGraph, list[int]]]) -> list[bool]:
+    """M <=_ff J for each (M, J, morphism) pair.  Every pair is reduced
+    first, so a search over the rank cap stops the call before any
+    search runs."""
+    reduced = [_reduce(M, J, f) for M, J, f in pairs]
+    k = max((g.ambient_rank for g in reduced if not isinstance(g, bool)), default=0)
+    if k > DEFAULT_RANK_CAP:
+        raise BudgetExceededError(
+            f"free-factor search at image rank {k} exceeds the cap {DEFAULT_RANK_CAP}"
+        )
+    return [
+        g if isinstance(g, bool) else _is_free_factor_of_ambient(g, g.ambient_rank)
+        for g in reduced
+    ]
 
 
 def _is_free_factor_of_ambient(M: CoreGraph, k: int) -> bool:
@@ -144,17 +190,15 @@ def algebraic_extensions(H: CoreGraph) -> ExtensionPoset:
         i for i, g in enumerate(nodes) if g.canonical_key == H.canonical_key
     )
     n = len(nodes)
-    leq = {
-        (i, j): stallings.subgroup_leq(nodes[i], nodes[j])
+    maps = {
+        (i, j): stallings.morphism(nodes[i], nodes[j])
         for i in range(n)
         for j in range(n)
     }
-    ff_marks = {
-        (i, j): is_free_factor(nodes[i], nodes[j])
-        for i in range(n)
-        for j in range(n)
-        if i != j and leq[(i, j)]
-    }
+    leq = {pair: f is not None for pair, f in maps.items()}
+    comparable = [(i, j) for (i, j), v in leq.items() if v and i != j]
+    marks = _decide([(nodes[i], nodes[j], maps[(i, j)]) for i, j in comparable])
+    ff_marks = dict(zip(comparable, marks))
     alg_marks = [
         not any(i != j and leq[(i, j)] and ff_marks[(i, j)] for i in range(n))
         for j in range(n)
@@ -233,11 +277,9 @@ def ff_closure(H: CoreGraph, J: CoreGraph) -> CoreGraph:
     """The unique A with H algebraic in A and A a free factor of J."""
     if not stallings.subgroup_leq(H, J):
         raise ValueError("H is not a subgroup of J")
-    candidates = [
-        A
-        for A in stallings.quotients(H)
-        if stallings.subgroup_leq(A, J) and is_free_factor(A, J)
-    ]
+    maps = [(A, stallings.morphism(A, J)) for A in stallings.quotients(H)]
+    pairs = [(A, J, f) for A, f in maps if f is not None]
+    candidates = [A for (A, _, _), ff in zip(pairs, _decide(pairs)) if ff]
     for A in candidates:
         if all(stallings.subgroup_leq(A, B) for B in candidates):
             return A

@@ -235,6 +235,14 @@ def subgroup_leq(H: CoreGraph, J: CoreGraph) -> bool:
     return morphism(H, J) is not None
 
 
+def image(H: CoreGraph, f: list[int]) -> CoreGraph:
+    """The image of Gamma(H) under its morphism f (from `morphism`) into
+    another core graph: a subgraph of the target through the base, folded
+    and core because a morphism of folded graphs is an immersion, so it
+    needs renumbering only."""
+    return _canonicalize(H.ambient_rank, {(f[u], lab, f[v]) for u, lab, v in H.edges})
+
+
 def _spanning_tree(H: CoreGraph) -> tuple[list[tuple[Letter, int] | None], list[Edge]]:
     """BFS spanning tree in canonical order.
 

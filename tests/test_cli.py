@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,38 @@ def test_readme_cli_example_runs(capsys, line):
     argv = shlex.split(line)[1:]
     rc, _, err = run(capsys, *argv)
     assert rc == 0, err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_GOLDEN_CASES = [
+    *(
+        (["ext", "ae", "--gens", gens, "--rank", "2", "--format", fmt], f"ae_{name}.{fmt}")
+        for gens, name in [("a^2,ab", "a2_ab"), ("[a,b]", "comm_ab"), ("aab", "aab"), ("ABab", "ABab")]
+        for fmt in ("json", "dot")
+    ),
+    (["ext", "pi", "--word", "[x,y]"], "pi_comm_xy.json"),
+    (["ext", "pi", "--word", "a^2b^2"], "pi_a2b2.json"),
+    (["ext", "pi", "--word", "a^3b"], "pi_a3b.json"),
+    (["ext", "ff-closure", "--gens", "a^2", "--in-gens", "a^2,b", "--rank", "2"],
+     "ff_closure_a2_in_a2_b.json"),
+]
+
+
+@pytest.mark.parametrize("argv,name", _GOLDEN_CASES, ids=[n for _, n in _GOLDEN_CASES])
+def test_poset_artifacts_match_the_golden_files(capsys, argv, name):
+    # stdout, summary line included, pinned byte for byte
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
+
+
+def test_rank_cap_exits_before_any_search(capsys):
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "ext", "pi", "--word", "[a,b]^2")
+    assert time.perf_counter() - t0 < 5
+    assert rc == 4 and out == ""
+    assert err == "budget exceeded: free-factor search at image rank 5 exceeds the cap 4\n"
 
 
 def test_power_gap_csv(capsys):

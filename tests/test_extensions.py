@@ -1,12 +1,14 @@
 
+import random
+
 import pytest
 
 from wordmaps import extensions, stallings
-from wordmaps.errors import HypothesisError
+from wordmaps.errors import BudgetExceededError, HypothesisError
 from wordmaps.extensions import INFINITE_RANK
 from wordmaps.measures import trw_exact
 from wordmaps.stallings import from_generators, rose
-from wordmaps.words import parse
+from wordmaps.words import Word, free_reduce, parse
 
 
 def graph(gens, rank):
@@ -46,6 +48,130 @@ def test_primitive_after_automorphism():
 def test_relative_free_factor():
     # <a^2> inside <a^2, b> is a free factor of it
     assert extensions.is_free_factor(graph(["a^2"], 2), graph(["a^2", "b"], 2))
+
+
+# -- free-factor reductions ------------------------------------------
+
+
+def whitehead_oracle(M, J):
+    """M <=_ff J with no reduction: M rewritten in a basis of J, then the
+    Whitehead search in F_rank(J)."""
+    if not stallings.subgroup_leq(M, J):
+        raise ValueError("M is not a subgroup of J")
+    if M == J or M.rank == 0:
+        return True
+    gens = [stallings.rewrite_in_basis(J, b) for b in stallings.basis(M)]
+    return extensions._is_free_factor_of_ambient(stallings.from_generators(gens, J.rank), J.rank)
+
+
+def random_word(rng, rank):
+    """A seeded random reduced word of length at most 6."""
+    length = rng.randint(1, 6)
+    return Word(rank, free_reduce([(rng.randint(1, rank), rng.choice((1, -1))) for _ in range(length)]))
+
+
+def random_subgroup(rng, rank, num_gens, max_vertices):
+    """A seeded random subgroup of F_rank on num_gens random words whose
+    core graph has 2..max_vertices vertices."""
+    while True:
+        H = stallings.from_generators([random_word(rng, rank) for _ in range(num_gens)], rank)
+        if 2 <= H.num_vertices <= max_vertices:
+            return H
+
+
+def test_free_factor_agrees_with_the_whitehead_oracle():
+    # Every comparable quotient pair, decided alone and inside the poset.
+    # The oracle searches every pair, and proving that a rank-2 subgroup
+    # is no free factor of a rank-3 quotient can take it half a minute,
+    # so 2-generator subgroups stay at 4 vertices.  151 pairs, about 13 s
+    # on a 2-core machine.
+    families = [("F2x1", 2, 1, 5, 24), ("F2x2", 2, 2, 4, 12), ("F3x1", 3, 1, 4, 10)]
+    samples = []
+    for seed, rank, num_gens, max_vertices, count in families:
+        rng = random.Random(seed)
+        samples += [random_subgroup(rng, rank, num_gens, max_vertices) for _ in range(count)]
+    pairs = 0
+    for H in samples:
+        poset = extensions.algebraic_extensions(H)
+        for (i, j), mark in poset.ff_marks.items():
+            M, J = poset.nodes[i], poset.nodes[j]
+            want = whitehead_oracle(M, J)
+            assert mark == extensions.is_free_factor(M, J) == want, (M, J)
+            pairs += 1
+    assert pairs == 151
+
+
+def test_free_factor_in_an_overgroup_agrees_with_the_whitehead_oracle():
+    # Between quotients of one graph the morphism is onto, so the image
+    # is all of J; an overgroup J = <H, w1, w2> leaves room for the
+    # embedding and image steps, as in ff_closure.  141 pairs, about 3 s.
+    rng = random.Random("overgroup")
+    pairs = 0
+    for _ in range(80):
+        H = random_subgroup(rng, 2, 1, 5)
+        J = stallings.from_generators(stallings.basis(H) + [random_word(rng, 2) for _ in range(2)], 2)
+        if J.rank > 3:
+            continue
+        marks = {}
+        for A in stallings.quotients(H):
+            if stallings.subgroup_leq(A, J):
+                marks[A] = whitehead_oracle(A, J)
+                assert extensions.is_free_factor(A, J) == marks[A], (A, J)
+                pairs += A != J
+        # the free-factor candidate inside all the others
+        closure = next(A for A, ff in marks.items() if ff and all(
+            stallings.subgroup_leq(A, B) for B, ffb in marks.items() if ffb))
+        assert extensions.ff_closure(H, J) == closure
+    assert pairs == 141
+
+
+def _unreachable(*_args):
+    raise AssertionError("this step must not be reached")
+
+
+@pytest.mark.parametrize(
+    "m,j,expected,settled_before",
+    [
+        (["a^2", "b"], None, False, "image"),  # rank M >= rank J
+        (["a", "baB"], None, False, "image"),  # rank M >= rank J
+        (["a"], ["a", "b^2"], True, "image"),  # Gamma(M) embeds in Gamma(J)
+        (["a^2"], ["a", "b^2"], False, "search"),  # rank M >= rank of the image <a>
+    ],
+    ids=["rank-a2-b", "rank-a-baB", "embedding", "image-rank"],
+)
+def test_reductions_settle_without_searching(monkeypatch, m, j, expected, settled_before):
+    M = graph(m, 2)
+    J = graph(j, 2) if j else rose(2)
+    assert whitehead_oracle(M, J) is expected
+    monkeypatch.setattr(extensions, "_is_free_factor_of_ambient", _unreachable)
+    if settled_before == "image":
+        monkeypatch.setattr(stallings, "image", _unreachable)
+    assert extensions.is_free_factor(M, J) is expected
+
+
+def test_primitive_word_still_needs_the_search(monkeypatch):
+    # <ab> maps onto the whole rose, so the image is F_2 itself
+    M = graph(["ab"], 2)
+    assert extensions.is_free_factor(M, rose(2))
+    monkeypatch.setattr(extensions, "_is_free_factor_of_ambient", _unreachable)
+    with pytest.raises(AssertionError, match="must not be reached"):
+        extensions.is_free_factor(M, rose(2))
+
+
+def test_rank_cap_applies_to_the_image():
+    # J has rank 5; <ab^6> spans only the a-loop and the b-cycle of
+    # Gamma(J), whose rank is 2, and is primitive there
+    J = graph(["a", "b^6", "baB", "b^2aB^2", "b^3aB^3"], 2)
+    M = graph(["ab^6"], 2)
+    assert J.rank == 5 > extensions.DEFAULT_RANK_CAP
+    assert extensions.is_free_factor(M, J)
+    assert not extensions.is_free_factor(graph(["a^2b^12"], 2), J)
+
+
+def test_rank_cap_stops_the_poset_before_any_search(monkeypatch):
+    monkeypatch.setattr(extensions, "_is_free_factor_of_ambient", _unreachable)
+    with pytest.raises(BudgetExceededError, match="image rank 5 exceeds the cap 4"):
+        extensions.pi_details(graph(["[a,b]^2"], 2))
 
 
 # -- algebraic extensions ---------------------------------------------
