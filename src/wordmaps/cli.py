@@ -26,7 +26,7 @@ from .errors import (
     InternalInvariantError,
     WordSyntaxError,
 )
-from .words import cyclic_reduce, maximal_root, parse, parse_list, substitute
+from .words import cyclic_reduce, maximal_root, parse, parse_list, parse_lists, substitute
 
 # Each cmd_* imports the library modules it calls, so that a command
 # loads only what it uses; the names below serve annotations only.
@@ -272,12 +272,11 @@ def cmd_ext_pi_iota(args):
 def cmd_ext_ff_closure(args):
     from . import extensions, stallings
 
-    H = _graph_from_args(args)
-    if args.in_gens:
-        J_gens = parse_list(args.in_gens, H.ambient_rank)
-        J = stallings.from_generators(J_gens, H.ambient_rank)
-    else:
-        J = stallings.rose(H.ambient_rank)
+    texts = [args.gens, args.in_gens] if args.in_gens else [args.gens]
+    H_gens, *J_gens = parse_lists(texts, args.rank)
+    rank = H_gens[0].ambient_rank
+    H = stallings.from_generators(H_gens, rank)
+    J = stallings.from_generators(J_gens[0], rank) if J_gens else stallings.rose(rank)
     A = extensions.ff_closure(H, J)
     basis = [str(b) for b in stallings.basis(A)]
     emit_json(

@@ -3,14 +3,16 @@
 A subgroup M of a free group J is a free factor when some basis of M
 extends to a basis of J.  The decision is a chain of exact reductions
 on the morphism f: Gamma(M) -> Gamma(J), ending, for the pairs none of
-them settles, in a search.  The image subgraph I = f(Gamma(M)) is a
-subgraph of Gamma(J) and so a free factor of J; hence M is a free
+them settles, in a Whitehead descent.  The image subgraph I = f(Gamma(M))
+is a subgraph of Gamma(J) and so a free factor of J; hence M is a free
 factor of J exactly when it is one of I, and a proper free factor has
-strictly smaller rank.  The search re-expresses M in a basis of I and
-runs an exhaustive, size-non-increasing search over Whitehead
-automorphisms of F_rank(I): M is a free factor exactly when the search
-reaches a core graph that is a wedge of distinctly-labeled loops at the
-base.  Peak reduction makes the non-increasing search complete.
+strictly smaller rank.  The descent re-expresses M in a basis of I and
+applies Whitehead automorphisms of F_rank(I) that strictly shrink its
+core graph until none does.  It is complete by peak reduction (Gersten
+1984): a core graph that is not the smallest of its Aut-orbit has a
+strictly shrinking Whitehead move, and the rose (a wedge of distinctly
+labeled loops at the base) is the unique smallest core graph of rank
+rank M; so M is a free factor exactly when the descent reaches a rose.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from .stallings import CoreGraph
 from .words import Word, enumerate_whitehead_moves, substitute
 
 DEFAULT_RANK_CAP = 4
-DEFAULT_STATE_CAP = 200_000
 
 INFINITE_RANK = math.inf
 
@@ -42,7 +43,7 @@ def is_free_factor(M: CoreGraph, J: CoreGraph) -> bool:
     4. Otherwise M <=_ff J iff M <=_ff I for the image subgraph I (a
        free factor of J by step 3; a free factor of J inside I is one
        of I by Kurosh), and rank M >= rank I gives False as in step 2.
-    5. Otherwise the Whitehead search on M rewritten in a basis of I,
+    5. Otherwise the Whitehead descent on M rewritten in a basis of I,
        whose rank, at most rank J, must not pass DEFAULT_RANK_CAP.
     """
     f = stallings.morphism(M, J)
@@ -53,7 +54,7 @@ def is_free_factor(M: CoreGraph, J: CoreGraph) -> bool:
 
 def _reduce(M: CoreGraph, J: CoreGraph, f: list[int]) -> bool | CoreGraph:
     """Steps 1-4 of `is_free_factor`: the answer, or M rewritten in a
-    basis of its image subgraph, the graph that the search must take."""
+    basis of its image subgraph, the graph that the descent must take."""
     if M == J or M.rank == 0:
         return True
     if M.rank >= J.rank:
@@ -72,8 +73,8 @@ def _reduce(M: CoreGraph, J: CoreGraph, f: list[int]) -> bool | CoreGraph:
 
 def _decide(pairs: list[tuple[CoreGraph, CoreGraph, list[int]]]) -> list[bool]:
     """M <=_ff J for each (M, J, morphism) pair.  Every pair is reduced
-    first, so a search over the rank cap stops the call before any
-    search runs."""
+    first, so a descent over the rank cap stops the call before any
+    descent runs."""
     reduced = [_reduce(M, J, f) for M, J, f in pairs]
     k = max((g.ambient_rank for g in reduced if not isinstance(g, bool)), default=0)
     if k > DEFAULT_RANK_CAP:
@@ -87,31 +88,19 @@ def _decide(pairs: list[tuple[CoreGraph, CoreGraph, list[int]]]) -> list[bool]:
 
 
 def _is_free_factor_of_ambient(M: CoreGraph, k: int) -> bool:
-    """Is M a free factor of F_k?  Whitehead search, size non-increasing."""
-    if M.is_rose:
-        return True
+    """Is M a free factor of F_k?  Greedy strict Whitehead descent: take
+    the first move whose folded image has fewer edges, until the graph is
+    a rose (True) or no move shrinks it (False).  Each step removes an
+    edge, so it folds at most (|E(M)| - rank M + 1) * |moves| graphs."""
     moves = enumerate_whitehead_moves(k)
-    visited = {M.canonical_key}
-    frontier = [M]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            g_basis = stallings.basis(g)
-            for move in moves:
-                images = [move.apply(b) for b in g_basis]
-                h = stallings.from_generators(images, k)
-                if len(h.edges) > len(g.edges) or h.canonical_key in visited:
-                    continue
-                if h.is_rose:
-                    return True
-                visited.add(h.canonical_key)
-                if len(visited) > DEFAULT_STATE_CAP:
-                    raise BudgetExceededError(
-                        f"Whitehead search exceeded {DEFAULT_STATE_CAP} states"
-                    )
-                nxt.append(h)
-        frontier = nxt
-    return False
+    g = M
+    while not g.is_rose:
+        size, g_basis = len(g.edges), stallings.basis(g)
+        folds = (stallings.from_generators([m.apply(b) for b in g_basis], k) for m in moves)
+        g = next((h for h in folds if len(h.edges) < size), None)
+        if g is None:
+            return False
+    return True
 
 
 @dataclass

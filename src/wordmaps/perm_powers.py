@@ -243,6 +243,8 @@ def word_power_obstruction(
 
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse "(1 2 3)(4 5)" (1-based points; fixed points may be omitted)."""
+    if degree < 1:
+        raise ValueError(f"degree must be positive, got {degree}")
     p = list(range(degree))
     text = text.strip()
     pos = 0

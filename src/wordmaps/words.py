@@ -217,13 +217,21 @@ def parse_list(text: str, ambient_rank: int | None = None) -> list[Word]:
     compact renumbering is shared by all the words, so "a^2,b" gives
     a^2 and b in F_2.
     """
-    p = _Parser(text)
-    items = [p.parse_word()]
-    while p.peek() == ",":
-        p.take()
-        items.append(p.parse_word())
-    p.expect_end()
-    return _as_words(items, ambient_rank)
+    return parse_lists([text], ambient_rank)[0]
+
+
+def parse_lists(texts: Sequence[str], ambient_rank: int | None = None) -> list[list[Word]]:
+    """Several comma-separated lists whose words share one letter numbering."""
+    lists = []
+    for text in texts:
+        p = _Parser(text)
+        lists.append([p.parse_word()])
+        while p.peek() == ",":
+            p.take()
+            lists[-1].append(p.parse_word())
+        p.expect_end()
+    words = iter(_as_words([w for items in lists for w in items], ambient_rank))
+    return [[next(words) for _ in items] for items in lists]
 
 
 def _as_words(items: list[list[Letter]], ambient_rank: int | None) -> list[Word]:

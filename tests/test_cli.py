@@ -229,6 +229,12 @@ _GOLDEN_CASES = [
         for gens, name in [("a^2,ab", "a2_ab"), ("[a,b]", "comm_ab"), ("aab", "aab"), ("ABab", "ABab")]
         for fmt in ("json", "dot")
     ),
+    # posets that the exhaustive Whitehead search took minutes to build
+    *(
+        (["ext", "ae", "--gens", gens, "--rank", "2", "--format", "json"], f"ae_{name}.json")
+        for gens, name in [("a^2bAb", "a2bAb"), ("a^2b^2a^-1b", "a2b2Ab"), ("a^3b^3", "a3b3"),
+                           ("a^2b^2a^2b^-1", "a2b2a2B")]
+    ),
     (["ext", "pi", "--word", "[x,y]"], "pi_comm_xy.json"),
     (["ext", "pi", "--word", "a^2b^2"], "pi_a2b2.json"),
     (["ext", "pi", "--word", "a^3b"], "pi_a3b.json"),
@@ -243,6 +249,18 @@ def test_poset_artifacts_match_the_golden_files(capsys, argv, name):
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
     assert out == (GOLDEN / name).read_text()
+
+
+def test_ff_closure_lists_share_one_letter_numbering(capsys):
+    # without --rank, --gens and --in-gens number their letters together
+    def result(gens, in_gens):
+        rc, out, err = run(capsys, "ext", "ff-closure", "--gens", gens, "--in-gens", in_gens)
+        assert (rc, err) == (0, "")
+        return json.loads(out.split("\n", 1)[1])["result"]
+
+    pinned = (GOLDEN / "ff_closure_a2_in_a2_b.json").read_text().split("\n", 1)[1]
+    assert result("a^2", "a^2,b") == json.loads(pinned)["result"]
+    assert result("b^2", "a,b") == {"basis": ["b"], "rank": 1}
 
 
 def test_rank_cap_exits_before_any_search(capsys):
@@ -272,6 +290,18 @@ def test_perm_root(capsys):
         capsys, "perm", "root", "--perm", "(1 2)(3 4)", "--degree", "4", "--d", "2"
     )
     assert rc == 0 and '"root"' in out
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [("cycle-type",), ("is-power", "--d", "2"), ("root", "--d", "2")],
+    ids=["cycle-type", "is-power", "root"],
+)
+def test_perm_rejects_a_degree_below_one(capsys, argv, degree):
+    rc, out, err = run(capsys, "perm", *argv, "--perm", "", "--degree", degree)
+    assert rc == 2 and out == ""
+    assert err == f"error: degree must be positive, got {degree}\n"
 
 
 def test_perm_obstruction_requires_seed(capsys):

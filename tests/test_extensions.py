@@ -1,4 +1,5 @@
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from wordmaps.errors import BudgetExceededError, HypothesisError
 from wordmaps.extensions import INFINITE_RANK
 from wordmaps.measures import trw_exact
 from wordmaps.stallings import from_generators, rose
-from wordmaps.words import Word, free_reduce, parse
+from wordmaps.words import Word, enumerate_whitehead_moves, free_reduce, parse
 
 
 def graph(gens, rank):
@@ -53,15 +54,47 @@ def test_relative_free_factor():
 # -- free-factor reductions ------------------------------------------
 
 
+ORACLE_STATE_CAP = 200_000
+
+
+def exhaustive_whitehead_search(M, k):
+    """Is M a free factor of F_k?  Every graph reachable by size
+    non-increasing Whitehead moves, searched breadth first."""
+    if M.is_rose:
+        return True
+    moves = enumerate_whitehead_moves(k)
+    visited = {M.canonical_key}
+    frontier = [M]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            g_basis = stallings.basis(g)
+            for move in moves:
+                images = [move.apply(b) for b in g_basis]
+                h = stallings.from_generators(images, k)
+                if len(h.edges) > len(g.edges) or h.canonical_key in visited:
+                    continue
+                if h.is_rose:
+                    return True
+                visited.add(h.canonical_key)
+                if len(visited) > ORACLE_STATE_CAP:
+                    raise BudgetExceededError(
+                        f"Whitehead search exceeded {ORACLE_STATE_CAP} states"
+                    )
+                nxt.append(h)
+        frontier = nxt
+    return False
+
+
 def whitehead_oracle(M, J):
     """M <=_ff J with no reduction: M rewritten in a basis of J, then the
-    Whitehead search in F_rank(J)."""
+    exhaustive Whitehead search in F_rank(J)."""
     if not stallings.subgroup_leq(M, J):
         raise ValueError("M is not a subgroup of J")
     if M == J or M.rank == 0:
         return True
     gens = [stallings.rewrite_in_basis(J, b) for b in stallings.basis(M)]
-    return extensions._is_free_factor_of_ambient(stallings.from_generators(gens, J.rank), J.rank)
+    return exhaustive_whitehead_search(stallings.from_generators(gens, J.rank), J.rank)
 
 
 def random_word(rng, rank):
@@ -156,6 +189,44 @@ def test_primitive_word_still_needs_the_search(monkeypatch):
     monkeypatch.setattr(extensions, "_is_free_factor_of_ambient", _unreachable)
     with pytest.raises(AssertionError, match="must not be reached"):
         extensions.is_free_factor(M, rose(2))
+
+
+@pytest.mark.parametrize(
+    "word,expected,folds",
+    [("ab^2ab^3", True, 108), ("a^2b^2", False, 24)],
+    ids=["primitive-descends", "square-one-scan"],
+)
+def test_descent_is_bounded_without_a_state_cap(monkeypatch, word, expected, folds):
+    # each step removes an edge and the rose keeps rank M of them, so at
+    # most |E(M)| - rank M + 1 scans of the move list; a^2b^2 has no
+    # shrinking move and stops after one
+    M = graph([word], 2)
+    fold = stallings.from_generators
+    calls = []
+
+    def counting_fold(gens, rank):
+        calls.append(gens)
+        return fold(gens, rank)
+
+    monkeypatch.setattr(stallings, "from_generators", counting_fold)
+    assert extensions._is_free_factor_of_ambient(M, 2) is expected
+    assert len(calls) == folds
+    assert folds <= (len(M.edges) - M.rank + 1) * len(enumerate_whitehead_moves(2))
+
+
+def test_primitive_words_of_length_at_most_six():
+    # all 1,104 cyclically reduced words of length 1..6 in F_2; 196 of
+    # them are primitive
+    letters = [(g, e) for g in (1, 2) for e in (1, -1)]
+    words = [
+        list(w)
+        for n in range(1, 7)
+        for w in itertools.product(letters, repeat=n)
+        if all(x != (y[0], -y[1]) for x, y in zip(w, w[1:] + w[:1]))
+    ]
+    assert len(words) == 1104
+    primitive = sum(extensions.is_free_factor(from_generators([Word(2, w)], 2), rose(2)) for w in words)
+    assert primitive == 196
 
 
 def test_rank_cap_applies_to_the_image():

@@ -10,6 +10,7 @@ from wordmaps.words import (
     maximal_root,
     parse,
     parse_list,
+    parse_lists,
     substitute,
 )
 
@@ -49,6 +50,11 @@ def test_parse_list_shares_one_letter_map():
     assert all(w.ambient_rank == 2 for w in ws)
     with pytest.raises(WordSyntaxError):
         parse_list("a,c", 2)
+    # across lists too; a syntax error keeps its position in its own list
+    H, J = parse_lists(["y^2", "x,y"])
+    assert [str(w) for w in H] == ["bb"] and [str(w) for w in J] == ["a", "b"]
+    with pytest.raises(WordSyntaxError, match="at position 3"):
+        parse_lists(["a", "a,b?"])
 
 
 def test_parse_commutator_and_exponent():
