@@ -16,6 +16,7 @@ rank M; so M is a free factor exactly when the descent reaches a rose.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from . import stallings
 from .errors import BudgetExceededError, HypothesisError, InternalInvariantError
 from .stallings import CoreGraph
-from .words import Word, enumerate_whitehead_moves, substitute
+from .words import WhiteheadMove, Word, enumerate_whitehead_moves, substitute
 
 DEFAULT_RANK_CAP = 4
 
@@ -87,12 +88,20 @@ def _decide(pairs: list[tuple[CoreGraph, CoreGraph, list[int]]]) -> list[bool]:
     ]
 
 
+@functools.cache
+def _shrinking_moves(k: int) -> list[WhiteheadMove]:
+    """The moves of `enumerate_whitehead_moves(k)` that can shrink a core
+    graph, in its order: a signed permutation only relabels edges, and a
+    multiplier move whose codes are all 0 is the identity."""
+    return [m for m in enumerate_whitehead_moves(k) if m.kind == "mult" and any(m.codes)]
+
+
 def _is_free_factor_of_ambient(M: CoreGraph, k: int) -> bool:
     """Is M a free factor of F_k?  Greedy strict Whitehead descent: take
     the first move whose folded image has fewer edges, until the graph is
     a rose (True) or no move shrinks it (False).  Each step removes an
     edge, so it folds at most (|E(M)| - rank M + 1) * |moves| graphs."""
-    moves = enumerate_whitehead_moves(k)
+    moves = _shrinking_moves(k)
     g = M
     while not g.is_rose:
         size, g_basis = len(g.edges), stallings.basis(g)

@@ -1,12 +1,14 @@
+import functools
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordmaps import measures
+from wordmaps import measures, perm_powers
 from wordmaps.errors import BudgetExceededError
 from wordmaps.measures import (
     FiniteGroupTable,
@@ -347,6 +349,7 @@ CAYLEY_GROUPS = {
     "S3": _perm_table([(1, 0, 2), (1, 2, 0)]),
     "S4": _perm_table([(1, 0, 2, 3), (1, 2, 3, 0)]),
     "A5": _perm_table([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]),
+    "D4": _perm_table([(1, 2, 3, 0), (3, 2, 1, 0)]),
 }
 
 
@@ -369,3 +372,114 @@ def test_cayley_measures_match_all_tuples_oracle(name, text, rank):
     want = tuple(sorted((k, Fraction(c, total)) for k, c in by_class.items()))
     assert word_measure_exact(w, G).support == want
     assert epi_image(w, G) == epi
+
+
+# -- orbit sweep vs the first-coordinate sweep ------------------------
+
+
+def _first_coordinate_sweep(group, r):
+    """Hom(F_r, G) with only the first coordinate collapsed by conjugacy
+    class and the other r - 1 over all of G: the oracle of
+    `class_collapsed_tuples`."""
+    if isinstance(group, FiniteGroupTable):
+        classes = [(cls[0], len(cls)) for cls in group.conjugacy_classes]
+        pool = list(range(group.order))
+        inverse = dict(enumerate(group.inverse))
+    else:
+        classes = [(measures._class_rep(lam), measures._class_size(lam, group))
+                   for lam in measures._partitions(group)]
+        pool = list(itertools.permutations(range(group)))
+        inverse = {p: measures.invert(p) for p in pool}
+    for rep, size in classes:
+        for rest in itertools.product(pool, repeat=r - 1):
+            elems = (rep,) + rest
+            yield size, elems, tuple(inverse[p] for p in elems)
+
+
+def _sweep_group(spec):
+    """A Cayley table by name, or an S_N degree."""
+    return CAYLEY_GROUPS[spec] if isinstance(spec, str) else spec
+
+
+# tuples at r = 2: sum over classes of |C(c)|, against k(G) |G|
+@pytest.mark.parametrize(
+    "name,r,tuples",
+    [(1, 2, 1), (2, 2, 4), (3, 2, 11), (4, 2, 43), (5, 2, 161), (6, 2, 901),
+     (7, 2, 5579), (1, 3, 1), (2, 3, 8), (3, 3, 66), (4, 3, 1032), (5, 3, 19320),
+     ("A5", 2, 77), ("S4", 2, 43), ("D4", 2, 28), ("Z6", 2, 36), ("A5", 3, 4620),
+     ("D4", 3, 224)],
+)
+def test_sweep_weights_sum_to_all_tuples(name, r, tuples):
+    group = _sweep_group(name)
+    order = group.order if isinstance(group, FiniteGroupTable) else math.factorial(group)
+    weights = [weight for weight, _, _ in measures.class_collapsed_tuples(group, r)]
+    assert len(weights) == tuples
+    assert sum(weights) == order**r
+
+
+@pytest.mark.parametrize("name", [1, 2, 3, 4, 5, 6, 7, "A5", "S4", "D4", "Z6"])
+def test_each_second_coordinate_is_least_of_its_centralizer_orbit(name):
+    group = _sweep_group(name)
+    if isinstance(group, FiniteGroupTable):
+        elements = list(range(group.order))
+        mul = lambda a, b: group.table[a][b]  # noqa: E731
+        inv = group.inverse.__getitem__
+    else:
+        elements = sorted(itertools.permutations(range(group)))
+        mul = lambda p, q: tuple(q[i] for i in p)  # noqa: E731
+        inv = lambda p: tuple(sorted(range(len(p)), key=p.__getitem__))  # noqa: E731
+    sweep = list(measures.class_collapsed_tuples(group, 2))
+    assert all(invs == tuple(map(inv, elems)) for _, elems, invs in sweep)
+    heads = list(dict.fromkeys(elems[0] for _, elems, _ in sweep))
+    # the classes and their order are those of the r = 1 sweep
+    assert heads == [elems[0] for _, elems, _ in measures.class_collapsed_tuples(group, 1)]
+    for c in heads:
+        cent = [h for h in elements if mul(h, c) == mul(c, h)]
+        want, seen = [], set()
+        for x in elements:
+            if x not in seen:
+                orbit = {mul(mul(inv(h), x), h) for h in cent}
+                seen |= orbit
+                want.append((x, len(elements) // len(cent) * len(orbit)))
+        assert [(elems[1], weight) for weight, elems, _ in sweep if elems[0] == c] == want
+
+
+SWEEP_WORDS = ["x", "x^2", "aab", "[x,y]", "xyxY", "x^2yXy", "x^2y^2XY", "x^2y^3", "xyz", "xyzXYZ"]
+
+
+@functools.cache
+def _oracle_measure(text, N):
+    """The measure of the word `text` (letters a, b, ...) on S_N through
+    the first-coordinate sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "class_collapsed_tuples", _first_coordinate_sweep)
+        return word_measure_exact(parse(text), N)
+
+
+# S6 and S7 at r <= 2, S5 at r = 3; each word is compared with the next
+# word of its rank group
+@pytest.mark.parametrize("text", SWEEP_WORDS)
+def test_orbit_sweep_matches_the_first_coordinate_sweep(monkeypatch, text):
+    w = parse(text)
+    group_words = [t for t in SWEEP_WORDS if (parse(t).ambient_rank <= 2) == (w.ambient_rank <= 2)]
+    partner = group_words[(group_words.index(text) + 1) % len(group_words)]
+    for N in (6, 7) if w.ambient_rank <= 2 else (5,):
+        got = word_measure_exact(w, N), compare_measures(w, parse(partner), N)
+        with monkeypatch.context() as mp:
+            mp.setattr(measures, "word_measure_exact", lambda v, group, budget: _oracle_measure(str(v), group))
+            want = _oracle_measure(str(w), N), compare_measures(w, parse(partner), N)
+        assert got == want, (text, partner, N)
+
+
+def test_rank_one_sweeps_build_no_pool(monkeypatch):
+    # a one-letter word on S10-S12 must not enumerate N!
+    def refuse(N):
+        raise AssertionError(f"all_perms({N}) ran for a rank-1 sweep")
+
+    monkeypatch.setattr(measures, "all_perms", refuse)
+    cached = measures._sn_pair_orbits.cache_info().currsize
+    table = word_measure_exact(parse("x^3"), 12, budget=10**10)
+    assert sum(p for _, p in table.support) == 1
+    verdict = perm_powers.word_power_obstruction(parse("x^2"), 2, list(range(1, 10)))
+    assert verdict.searched == tuple(range(1, 10)) and not verdict.conclusive
+    assert measures._sn_pair_orbits.cache_info().currsize == cached

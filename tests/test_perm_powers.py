@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordmaps import perm_powers
+from wordmaps import measures, perm_powers
 from wordmaps.errors import HypothesisError
 from wordmaps.perm_powers import (
     cycle_type,
@@ -146,9 +146,33 @@ def test_obstruction_finds_witness_for_x2y2():
 
 def test_obstruction_witness_follows_sweep_order():
     # the exhaustive search visits class representatives in partition
-    # order, then the second coordinate in itertools.permutations order
+    # order, then the least element of each centralizer orbit in
+    # itertools.permutations order
     v = word_power_obstruction(parse("x^2y^2"), 2, [2, 3, 4, 5, 6])
     assert [format_cycles(p) for p in v.witness_tuple] == ["(1 2 3 4 5 6)", "(4 5 6)"]
+
+
+def _first_witness(w, d, N):
+    """The first tuple of the sweep that collapses only the first
+    coordinate by conjugacy class whose image of w is not a d-th power."""
+    pool = _all_perms(N)
+    for lam in measures._partitions(N):
+        for rest in itertools.product(pool, repeat=w.ambient_rank - 1):
+            perms = (measures._class_rep(lam),) + rest
+            if not is_dth_power(measures.evaluate_word(w, list(perms)), d):
+                return perms
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("text", ["x^2y^2", "[x,y]", "x^2y^3", "aab"])
+def test_obstruction_witness_matches_the_first_coordinate_sweep(text, d):
+    # a witness is invariant under simultaneous conjugation and each
+    # tuple of the orbit sweep is least in its orbit, so the first
+    # witness is the same
+    w = parse(text)
+    for N in range(1, 7):
+        assert word_power_obstruction(w, d, [N]).witness_tuple == _first_witness(w, d, N), N
 
 
 def test_obstruction_rejects_a_negative_sample_budget():
