@@ -6,6 +6,10 @@ fixed input, seed and version: header comments echo the configuration
 (excluding --out, which never affects the numbers), and all
 exact values are printed as integer numerator/denominator pairs.
 
+The parser is built from one table: a new subcommand is one row of
+`COMMANDS` plus one `cmd_*` handler, and each shared argument (`WORD`,
+`GENS`, `N`, `BUDGET`, ...) is declared once.
+
 Exit codes: 0 success; 2 usage or word-syntax error; 3 hypothesis
 violation (the named hypothesis is echoed); 4 budget exceeded;
 5 internal invariant failure.
@@ -16,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -31,6 +35,7 @@ from .words import cyclic_reduce, maximal_root, parse, parse_list, parse_lists, 
 # Each cmd_* imports the library modules it calls, so that a command
 # loads only what it uses; the names below serve annotations only.
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from fractions import Fraction
 
     from .stallings import CoreGraph
@@ -41,18 +46,32 @@ if TYPE_CHECKING:
 # ----------------------------------------------------------------------
 
 
+class NRangeError(ValueError, argparse.ArgumentTypeError):
+    """A malformed N range; as an ArgumentTypeError, argparse prints its
+    message as the reason."""
+
+
 def parse_n_range(text: str) -> list[int]:
     """Inclusive "a..b", or a single integer."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = list(range(int(lo), int(hi) + 1))
-    else:
-        out = [int(text)]
+    lo, dots, hi = text.partition("..")
+    try:
+        out = list(range(int(lo), int(hi) + 1)) if dots else [int(text)]
+    except ValueError:
+        raise NRangeError(f"invalid N range {text!r}") from None
     if not out:
-        raise ValueError(f"empty N range {text!r}")
+        raise NRangeError(f"empty N range {text!r}")
     if any(n < 1 for n in out):
-        raise ValueError("N must be positive")
+        raise NRangeError("N must be positive")
     return out
+
+
+class _Budget(argparse.Action):
+    """Stores a --budget, refusing a negative one before any work starts."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"budget must be non-negative, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def parse_group(text: str):
@@ -562,20 +581,137 @@ def cmd_perm_obstruction(args):
 
 
 # ----------------------------------------------------------------------
-# Parser construction
+# The command table
 # ----------------------------------------------------------------------
 
 
-def _add_common(p, out=True, fmt=None):
-    if out:
-        p.add_argument("--out", help="write the artifact to this file")
-    if fmt:
-        p.add_argument("--format", choices=fmt, default=fmt[0])
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    """One argument spec: the option string and its add_argument keywords."""
+    return flag, kwargs
 
 
-def _add_budget(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="cap: Tr/Phi quotient-search steps, or Hom tuples x word length")
+WORD = _arg("--word", required=True)
+RANK = _arg("--rank", type=int)
+RANK_REQUIRED = _arg("--rank", type=int, required=True)
+GENS = _arg("--gens", required=True, help="comma-separated generator words")
+N = _arg("--n", required=True, type=parse_n_range, help='N or inclusive range "a..b"')
+IMAGES = _arg("--images", required=True, help="comma-separated image words")
+IMAGE_RANK = _arg("--image-rank", type=int)
+GROUP = _arg("--group", required=True, help='"S<k>" or "cayley:<path>"')
+PERM = _arg("--perm", required=True, help='cycle notation, e.g. "(1 2 3)(4 5)"')
+DEGREE = _arg("--degree", type=int, required=True)
+D = _arg("--d", type=int, required=True)
+BUDGET = _arg("--budget", type=int, default=DEFAULT_BUDGET, action=_Budget,
+              help="cap: Tr/Phi quotient-search steps, or Hom tuples x word length")
+OUT = _arg("--out", help="write the artifact to this file")
+
+GROUPS = {
+    "word": "parse and transform words",
+    "graph": "folded core graphs of finitely generated subgroups",
+    "ext": "algebraic extensions and primitivity ranks",
+    "measure": "exact and sampled word measures",
+    "mobius": "derivation of the joint-fixed-point functional over the "
+    "algebraic-extension poset",
+    "perm": "cycle statistics and d-th powers of permutations",
+}
+
+
+class Command(NamedTuple):
+    """One subcommand: its arguments come before --out, then --format if
+    `formats` lists choices (the first is the default).  A list among
+    `args` is a mutually exclusive group."""
+
+    group: str
+    name: str
+    help: str
+    args: list
+    handler: Callable
+    formats: list[str] | None = None
+
+
+COMMANDS = [
+    Command("word", "parse", "parse a word literal and freely reduce it", [WORD, RANK],
+            cmd_word_parse),
+    Command("word", "reduce", "free and cyclic reduction", [WORD, RANK], cmd_word_reduce),
+    Command("word", "root", "maximal root: write w = u^b with b maximal", [WORD, RANK],
+            cmd_word_root),
+    Command("word", "substitute", "apply x_i -> u_i to a word",
+            [WORD, RANK, IMAGES, IMAGE_RANK], cmd_word_substitute),
+    Command("graph", "fold", "fold the wedge of generator loops", [GENS, RANK],
+            cmd_graph_fold, ["json", "dot"]),
+    Command("graph", "export", "DOT rendering of the folded core graph", [GENS, RANK],
+            cmd_graph_export),
+    Command("ext", "ae", "enumerate the algebraic extensions of a subgroup", [GENS, RANK],
+            cmd_ext_ae, ["json", "dot"]),
+    Command("ext", "pi", "smallest rank of a proper algebraic extension of <w> "
+            "(infinite iff w is primitive), with the number C attaining it",
+            [WORD, RANK], cmd_ext_pi),
+    Command("ext", "pi-iota", "relative version under a substitution x_i -> u_i: smallest "
+            "rank of an algebraic extension of the image escaping the image subgroup",
+            [GENS, RANK_REQUIRED, IMAGES, IMAGE_RANK], cmd_ext_pi_iota),
+    Command("ext", "ff-closure", "the smallest free factor of the ambient subgroup "
+            "containing H",
+            [GENS, RANK, _arg("--in-gens", help="generators of the ambient subgroup J "
+                              "(default: all of F_r)")], cmd_ext_ff_closure),
+    Command("measure", "trw", "expected number of fixed points of the image of w under a "
+            "uniform random homomorphism to S_N",
+            [WORD, RANK, N, [_arg("--exact", action="store_true", default=True),
+                             _arg("--mc", action="store_true", default=False)],
+             _arg("--samples", type=int), _arg("--seed"), BUDGET], cmd_measure_trw),
+    Command("measure", "phi", "expected number of common fixed points of the images of the "
+            "generators of H under a uniform random homomorphism to S_N",
+            [GENS, RANK_REQUIRED, N, BUDGET], cmd_measure_phi),
+    Command("measure", "table", "exact class-aggregated distribution of the image of w",
+            [WORD, RANK, GROUP, BUDGET], cmd_measure_table),
+    Command("measure", "compare", "exact equality test of two word measures, with witness",
+            [_arg("--w1", required=True), _arg("--w2", required=True), RANK, GROUP,
+             _arg("--exact", action="store_true", default=True,
+                  help="exact enumeration (the only mode for comparison)"), BUDGET],
+            cmd_measure_compare),
+    Command("measure", "epiim", "set of values of w over surjective homomorphisms only",
+            [WORD, RANK, GROUP, BUDGET], cmd_measure_epiim),
+    Command("mobius", "derive", "R values of every algebraic extension of H at one N",
+            [GENS, RANK, N, BUDGET], cmd_mobius_derive),
+    Command("mobius", "via-expansion", "reconstruct the ambient expected-fixed-point value "
+            "as the sum of R over all algebraic extensions",
+            [GENS, RANK, N, BUDGET], cmd_mobius_via_expansion),
+    Command("mobius", "fit", "fit the 1 + C N^(1-pi) expansion of the expected fixed points "
+            "of w and compare with the combinatorial pi and C",
+            [WORD, RANK, N, BUDGET], cmd_mobius_fit),
+    Command("mobius", "inequality", "strict increase of the expected fixed points under a "
+            "substitution whose images do not generate a free factor; the hypothesis "
+            "validator rejects words lying in a proper free factor",
+            [WORD, RANK, IMAGES, IMAGE_RANK, N, BUDGET], cmd_mobius_inequality,
+            ["csv", "json"]),
+    Command("mobius", "power-gap", "gap between the expected fixed points of u^d and of u, "
+            "against the number of divisors of |d| minus one (d != 0)",
+            [WORD, RANK, D, N, BUDGET], cmd_mobius_power_gap),
+    Command("perm", "cycle-type", "cycle type of a permutation", [PERM, DEGREE],
+            cmd_perm_cycle_type),
+    Command("perm", "is-power", "d-th power test: for every cycle length t, the number of "
+            "t-cycles must be divisible by the product over primes p | t of p^(v_p(d))",
+            [PERM, DEGREE, D], cmd_perm_is_power),
+    Command("perm", "root", "construct a d-th root, or report none", [PERM, DEGREE, D],
+            cmd_perm_root),
+    Command("perm", "moments", "exact first and second moments of the number of t-cycles "
+            "of sigma^b for uniform sigma in S_N",
+            [_arg("--b", type=int, required=True), _arg("--t", type=int, required=True), N],
+            cmd_perm_moments),
+    Command("perm", "obstruction", "search homomorphisms to S_N for an image of w that is "
+            "not a d-th power; a witness proves w is not one",
+            [WORD, RANK, D, N, _arg("--sample-budget", type=int, default=10_000),
+             _arg("--seed", required=True)], cmd_perm_obstruction),
+]
+
+
+def _add(parser, spec):
+    if isinstance(spec, list):
+        group = parser.add_mutually_exclusive_group()
+        for member in spec:
+            _add(group, member)
+    else:
+        flag, kwargs = spec
+        parser.add_argument(flag, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,283 +722,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     top = ap.add_subparsers(dest="command", required=True)
-
-    # ---- word ----
-    word = top.add_parser("word", help="parse and transform words").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = word.add_parser("parse", help="parse a word literal and freely reduce it")
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_word_parse)
-
-    p = word.add_parser("reduce", help="free and cyclic reduction")
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_word_reduce)
-
-    p = word.add_parser("root", help="maximal root: write w = u^b with b maximal")
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_word_root)
-
-    p = word.add_parser("substitute", help="apply x_i -> u_i to a word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--images", required=True, help="comma-separated image words")
-    p.add_argument("--image-rank", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_word_substitute)
-
-    # ---- graph ----
-    graph = top.add_parser(
-        "graph", help="folded core graphs of finitely generated subgroups"
-    ).add_subparsers(dest="subcommand", required=True)
-    p = graph.add_parser("fold", help="fold the wedge of generator loops")
-    p.add_argument("--gens", required=True, help="comma-separated generator words")
-    p.add_argument("--rank", type=int)
-    _add_common(p, fmt=["json", "dot"])
-    p.set_defaults(func=cmd_graph_fold)
-
-    p = graph.add_parser("export", help="DOT rendering of the folded core graph")
-    p.add_argument("--gens", required=True)
-    p.add_argument("--rank", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_graph_export)
-
-    # ---- ext ----
-    ext = top.add_parser(
-        "ext", help="algebraic extensions and primitivity ranks"
-    ).add_subparsers(dest="subcommand", required=True)
-    p = ext.add_parser("ae", help="enumerate the algebraic extensions of a subgroup")
-    p.add_argument("--gens", required=True)
-    p.add_argument("--rank", type=int)
-    _add_common(p, fmt=["json", "dot"])
-    p.set_defaults(func=cmd_ext_ae)
-
-    p = ext.add_parser(
-        "pi",
-        help="smallest rank of a proper algebraic extension of <w> "
-        "(infinite iff w is primitive), with the number C attaining it",
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_ext_pi)
-
-    p = ext.add_parser(
-        "pi-iota",
-        help="relative version under a substitution x_i -> u_i: smallest rank "
-        "of an algebraic extension of the image escaping the image subgroup",
-    )
-    p.add_argument("--gens", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--images", required=True)
-    p.add_argument("--image-rank", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_ext_pi_iota)
-
-    p = ext.add_parser(
-        "ff-closure",
-        help="the smallest free factor of the ambient subgroup containing H",
-    )
-    p.add_argument("--gens", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--in-gens", help="generators of the ambient subgroup J (default: all of F_r)")
-    _add_common(p)
-    p.set_defaults(func=cmd_ext_ff_closure)
-
-    # ---- measure ----
-    measure = top.add_parser(
-        "measure", help="exact and sampled word measures"
-    ).add_subparsers(dest="subcommand", required=True)
-    p = measure.add_parser(
-        "trw",
-        help="expected number of fixed points of the image of w under a "
-        "uniform random homomorphism to S_N",
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--n", required=True, type=parse_n_range, help='N or inclusive range "a..b"')
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--mc", action="store_true", default=False)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed")
-    _add_budget(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_measure_trw)
-
-    p = measure.add_parser(
-        "phi",
-        help="expected number of common fixed points of the images of the "
-        "generators of H under a uniform random homomorphism to S_N",
-    )
-    p.add_argument("--gens", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--n", required=True, type=parse_n_range)
-    _add_budget(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_measure_phi)
-
-    p = measure.add_parser(
-        "table", help="exact class-aggregated distribution of the image of w"
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--group", required=True, help='"S<k>" or "cayley:<path>"')
-    _add_budget(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_measure_table)
-
-    p = measure.add_parser(
-        "compare", help="exact equality test of two word measures, with witness"
-    )
-    p.add_argument("--w1", required=True)
-    p.add_argument("--w2", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--group", required=True)
-    p.add_argument("--exact", action="store_true", default=True,
-                   help="exact enumeration (the only mode for comparison)")
-    _add_budget(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_measure_compare)
-
-    p = measure.add_parser(
-        "epiim", help="set of values of w over surjective homomorphisms only"
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--group", required=True)
-    _add_budget(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_measure_epiim)
-
-    # ---- mobius ----
-    mob = top.add_parser(
-        "mobius",
-        help="derivation of the joint-fixed-point functional over the "
-        "algebraic-extension poset",
-    ).add_subparsers(dest="subcommand", required=True)
-    p = mob.add_parser(
-        "derive", help="R values of every algebraic extension of H at one N"
-    )
-    p.add_argument("--gens", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--n", required=True, type=parse_n_range)
-    _add_budget(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_mobius_derive)
-
-    p = mob.add_parser(
-        "via-expansion",
-        help="reconstruct the ambient expected-fixed-point value as the sum "
-        "of R over all algebraic extensions",
-    )
-    p.add_argument("--gens", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--n", required=True, type=parse_n_range)
-    _add_budget(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_mobius_via_expansion)
-
-    p = mob.add_parser(
-        "fit",
-        help="fit the 1 + C N^(1-pi) expansion of the expected fixed points "
-        "of w and compare with the combinatorial pi and C",
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--n", required=True, type=parse_n_range)
-    _add_budget(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_mobius_fit)
-
-    p = mob.add_parser(
-        "inequality",
-        help="strict increase of the expected fixed points under a "
-        "substitution whose images do not generate a free factor; the "
-        "hypothesis validator rejects words lying in a proper free factor",
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--images", required=True)
-    p.add_argument("--image-rank", type=int)
-    p.add_argument("--n", required=True, type=parse_n_range)
-    _add_budget(p)
-    _add_common(p, fmt=["csv", "json"])
-    p.set_defaults(func=cmd_mobius_inequality)
-
-    p = mob.add_parser(
-        "power-gap",
-        help="gap between the expected fixed points of u^d and of u, "
-        "against the number of divisors of |d| minus one (d != 0)",
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", required=True, type=parse_n_range)
-    _add_budget(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_mobius_power_gap)
-
-    # ---- perm ----
-    perm = top.add_parser(
-        "perm", help="cycle statistics and d-th powers of permutations"
-    ).add_subparsers(dest="subcommand", required=True)
-    p = perm.add_parser("cycle-type", help="cycle type of a permutation")
-    p.add_argument("--perm", required=True, help='cycle notation, e.g. "(1 2 3)(4 5)"')
-    p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_perm_cycle_type)
-
-    p = perm.add_parser(
-        "is-power",
-        help="d-th power test: for every cycle length t, the number of "
-        "t-cycles must be divisible by the product over primes p | t of "
-        "p^(v_p(d))",
-    )
-    p.add_argument("--perm", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_perm_is_power)
-
-    p = perm.add_parser("root", help="construct a d-th root, or report none")
-    p.add_argument("--perm", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_perm_root)
-
-    p = perm.add_parser(
-        "moments",
-        help="exact first and second moments of the number of t-cycles of "
-        "sigma^b for uniform sigma in S_N",
-    )
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", required=True, type=parse_n_range)
-    _add_common(p)
-    p.set_defaults(func=cmd_perm_moments)
-
-    p = perm.add_parser(
-        "obstruction",
-        help="search homomorphisms to S_N for an image of w that is not a "
-        "d-th power; a witness proves w is not one",
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", required=True, type=parse_n_range)
-    p.add_argument("--sample-budget", type=int, default=10_000)
-    p.add_argument("--seed", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_perm_obstruction)
-
+    groups = {
+        name: top.add_parser(name, help=text).add_subparsers(dest="subcommand", required=True)
+        for name, text in GROUPS.items()
+    }
+    for cmd in COMMANDS:
+        p = groups[cmd.group].add_parser(cmd.name, help=cmd.help)
+        specs = [*cmd.args, OUT]
+        if cmd.formats:
+            specs.append(_arg("--format", choices=cmd.formats, default=cmd.formats[0]))
+        for spec in specs:
+            _add(p, spec)
+        p.set_defaults(func=cmd.handler)
     return ap
 
 

@@ -10,10 +10,8 @@ representative c, then one element per orbit of its centralizer
 (each of these is invariant under simultaneous conjugation).  At r = 2
 that is sum over classes of |C(c)| tuples, 5,579 on S_7 against
 p(7)·7! = 75,600 for a first-coordinate collapse.  A word is evaluated
-on permutations by `word_image`.
-The naive all-tuples `trw_exact_naive` is kept as the trusted oracle
-for differential testing.  Monte Carlo draws `random_tuple`s from one
-stream seeded `Random(f"{seed}/0")`.
+on permutations by `word_image`.  Monte Carlo draws `random_tuple`s
+from one stream seeded `Random(f"{seed}/0")`.
 """
 from __future__ import annotations
 
@@ -288,21 +286,6 @@ def trw_exact(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
     return phi_exact([w], w.ambient_rank, N, budget=budget)
 
 
-def trw_exact_naive(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """All-tuples oracle for trw_exact: fixed points over Hom(F_r, S_N)."""
-    letters, r = _effective_letters(w)
-    if r == 0:
-        return Fraction(N)
-    _check_budget(N, r, len(w), budget)
-    perms_pool = all_perms(N)
-    inv_pool = {p: invert(p) for p in perms_pool}
-    total = 0
-    for perms in itertools.product(perms_pool, repeat=r):
-        invs = tuple(inv_pool[p] for p in perms)
-        total += fixed_points(word_image(letters, perms, invs))
-    return Fraction(total, math.factorial(N) ** r)
-
-
 # ----------------------------------------------------------------------
 # Finite groups given by a Cayley table
 # ----------------------------------------------------------------------
@@ -471,20 +454,6 @@ def word_measure_exact(
         counts[classify(img)] += weight
     total = sum(counts.values())
     return MeasureTable(label, tuple(sorted((k, Fraction(v, total)) for k, v in counts.items())))
-
-
-def word_measure_elementwise(
-    w: Word, G: FiniteGroupTable, budget: int = DEFAULT_BUDGET
-) -> dict[int, Fraction]:
-    """Element-level w-measure on a Cayley-table group, derived from the
-    class measure: conjugation permutes Hom(F_r, G), so every element of
-    a class carries the class's mass divided by the class size."""
-    mass = word_measure_exact(w, G, budget).as_dict
-    return {
-        a: mass[ci] / len(G.conjugacy_classes[ci])
-        for a, ci in enumerate(G.class_of)
-        if ci in mass
-    }
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .errors import HypothesisError
 from .measures import (  # evaluate_word is re-exported: bench/tracer.py wraps it here
     Perm,
-    all_perms,
     class_collapsed_tuples,
     cycles,
     evaluate_word,
@@ -156,8 +155,7 @@ def moments_exact(b: int, t: int, N: int) -> tuple[Fraction, Fraction]:
 
     Requires b != 0, t >= 1 and b | t.  Then each |b|t-cycle of sigma
     splits into |b| t-cycles of sigma^b and no other cycle gives one, and
-    E[c_L] = [L <= N] / L, E[c_L (c_L - 1)] = [2L <= N] / L^2.  The
-    oracle is `moments_exact_naive`.
+    E[c_L] = [L <= N] / L, E[c_L (c_L - 1)] = [2L <= N] / L^2.
     """
     if b == 0 or t < 1:
         raise ValueError(f"moments need b != 0 and t >= 1 (b={b}, t={t})")
@@ -166,20 +164,6 @@ def moments_exact(b: int, t: int, N: int) -> tuple[Fraction, Fraction]:
     L = abs(b) * t
     first = Fraction(int(L <= N), t)
     return first, abs(b) * first + Fraction(int(2 * L <= N), t * t)
-
-
-def moments_exact_naive(b: int, t: int, N: int) -> tuple[Fraction, Fraction]:
-    """All-permutations oracle for moments_exact (small N only)."""
-    if t % b != 0:
-        raise HypothesisError("b divides t", f"b={b}, t={t}")
-    total1 = 0
-    total2 = 0
-    for p in all_perms(N):
-        c = cycle_type(power_of_permutation(p, b)).count(t)
-        total1 += c
-        total2 += c * c
-    fact = math.factorial(N)
-    return Fraction(total1, fact), Fraction(total2, fact)
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,31 @@ def test_out_of_range_input_exits_2(capsys, argv, message):
     assert rc == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["measure", "trw", "--word", "x", "--n", "0"], "argument --n: N must be positive"),
+        (["measure", "trw", "--word", "x", "--n", "5..3"], "argument --n: empty N range '5..3'"),
+        (["measure", "trw", "--word", "x", "--n", "3.."], "argument --n: invalid N range '3..'"),
+        (["measure", "phi", "--gens", "a", "--rank", "1", "--n", "3", "--budget", "-5"],
+         "argument --budget: budget must be non-negative, got -5"),
+    ],
+    ids=["n-zero", "n-empty-range", "n-open-range", "negative-budget"],
+)
+def test_usage_error_names_its_reason(capsys, argv, reason):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: ")
+    assert err.splitlines()[-1] == f"wordmaps {argv[0]} {argv[1]}: error: {reason}"
+
+
+def test_budget_zero_refuses_all_work(capsys):
+    rc, out, err = run(capsys, "measure", "phi", "--gens", "a", "--rank", "1", "--n", "3",
+                       "--budget", "0")
+    assert (rc, out) == (4, "")
+    assert err == "budget exceeded: quotient search passed the budget 0: 0 steps, 0 quotients\n"
+
+
 def test_parse_group_cayley(tmp_path):
     G = FiniteGroupTable.cyclic(4)
     path = tmp_path / "z4.json"
@@ -219,6 +244,19 @@ def test_readme_cli_example_runs(capsys, line):
     argv = shlex.split(line)[1:]
     rc, _, err = run(capsys, *argv)
     assert rc == 0, err
+
+
+def test_readme_command_reference_lists_every_subcommand():
+    # one "group subcommand  summary" line per subcommand, in parser order
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("### Command reference", 1)[1].split("```text\n", 1)[1]
+    listed = [tuple(line.split(None, 2)) for line in block.split("```", 1)[0].splitlines()]
+    groups = cli.build_parser()._subparsers._group_actions[0].choices
+    assert listed == [
+        (group, sub.dest, sub.help)
+        for group, parser in groups.items()
+        for sub in parser._subparsers._group_actions[0]._choices_actions
+    ]
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -16,11 +16,32 @@ from wordmaps.measures import (
     epi_image,
     phi_exact,
     trw_exact,
-    trw_exact_naive,
     trw_monte_carlo,
     word_measure_exact,
 )
 from wordmaps.words import parse
+
+
+# -- all-tuples oracles ----------------------------------------------
+
+
+def trw_exact_naive(w, N):
+    """All-tuples oracle for trw_exact: fixed points over Hom(F_r, S_N)."""
+    tuples = list(itertools.product(measures.all_perms(N), repeat=w.ambient_rank))
+    fixed = sum(measures.fixed_points(measures.evaluate_word(w, list(t))) for t in tuples)
+    return Fraction(fixed, len(tuples))
+
+
+def word_measure_elementwise(w, G):
+    """Element-level w-measure on a Cayley table, from the class measure:
+    conjugation permutes Hom(F_r, G), so every element of a class carries
+    the class's mass divided by the class size."""
+    mass = word_measure_exact(w, G).as_dict
+    return {
+        a: mass[ci] / len(G.conjugacy_classes[ci])
+        for a, ci in enumerate(G.class_of)
+        if ci in mass
+    }
 
 
 # -- trw --------------------------------------------------------------
@@ -150,7 +171,7 @@ def test_table_validation_rejects_bad_identity():
 
 def test_word_measure_on_cyclic_group():
     # x^3 on Z_3 is constant at the identity
-    m = measures.word_measure_elementwise(parse("x^3"), z3())
+    m = word_measure_elementwise(parse("x^3"), z3())
     assert m == {0: Fraction(1)}
 
 
@@ -362,7 +383,7 @@ def test_cayley_measures_match_all_tuples_oracle(name, text, rank):
     w = parse(text, rank)
     counts, epi = _oracle_table(w, G)
     total = sum(counts)
-    assert measures.word_measure_elementwise(w, G) == {
+    assert word_measure_elementwise(w, G) == {
         a: Fraction(c, total) for a, c in enumerate(counts) if c
     }
     by_class: dict = {}

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,26 @@ from wordmaps.perm_powers import (
     identity,
     is_dth_power,
     moments_exact,
-    moments_exact_naive,
     parse_cycles,
     power_cycle_divisor,
     power_of_permutation,
     word_power_obstruction,
 )
 from wordmaps.words import parse
+
+
+def moments_exact_naive(b, t, N):
+    """All-permutations oracle for moments_exact (small N only)."""
+    if t % b != 0:
+        raise HypothesisError("b divides t", f"b={b}, t={t}")
+    total1 = 0
+    total2 = 0
+    for p in measures.all_perms(N):
+        c = cycle_type(power_of_permutation(p, b)).count(t)
+        total1 += c
+        total2 += c * c
+    fact = math.factorial(N)
+    return Fraction(total1, fact), Fraction(total2, fact)
 
 
 # -- cycle machinery --------------------------------------------------
