@@ -317,7 +317,7 @@ def cmd_measure_trw(args):
     rows = []
     if args.mc:
         for N in args.n:
-            mean, err = measures.trw_monte_carlo(w, N, args.samples, args.seed)
+            mean, err = measures.trw_monte_carlo(w, N, args.samples, args.seed, args.budget)
             rows.append([N, f"{mean:.15g}", f"{err:.15g}"])
         emit_csv(args, ["N", "estimate", "stderr"], rows)
         return

@@ -12,6 +12,17 @@ that is sum over classes of |C(c)| tuples, 5,579 on S_7 against
 p(7)·7! = 75,600 for a first-coordinate collapse.  A word is evaluated
 on permutations by `word_image`.  Monte Carlo draws `random_tuple`s
 from one stream seeded `Random(f"{seed}/0")`.
+
+A class-keyed word measure is invariant under Aut(F_r) (h -> h∘phi
+permutes Hom(F_r, G)) and under conjugation of the word, so
+`word_measure_exact` and `compare_measures` sweep
+`words.whitehead_minimal(w)`, a shortest word of the orbit found by
+Whitehead star-graph cuts, and cost their budget on it: a primitive
+word is swept as one letter.  `trw_exact`/`phi_exact` sum over the core
+graph of the word as given, Monte Carlo samples it, and `epi_image` and
+`perm_powers.word_power_obstruction` report images and witness tuples
+of that word, so they keep it as given.  Cayley tables are checked for
+associativity by Light's test on a generating set.
 """
 from __future__ import annotations
 
@@ -25,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .words import Word
+from .words import Word, whitehead_minimal
 
 CAYLEY_ORDER_CAP = 64
 
@@ -297,7 +308,9 @@ class FiniteGroupTable:
 
     Element 0 must be the identity.  The order cap, then the order and
     the name count, then all group axioms are checked at construction;
-    the first violation is reported.
+    the first violation is reported.  Associativity is checked by Light's
+    test, over a generating set S of the table: n^2 |S| products, with
+    |S| <= log2(n) for a group, instead of n^3.
     """
 
     order: int
@@ -321,13 +334,30 @@ class FiniteGroupTable:
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise ValueError(f"element 0 is not a two-sided identity (at {i})")
+        T = self.table
+        # Light's test: the b with (ab)c = a(bc) for all a, c are closed
+        # under products, so it is enough to check b over a set S that
+        # generates the table; S collects each element not yet reached
+        # from 0 by right multiplication with S
+        gens, reached = [], {0}
+        for g in range(n):
+            if g not in reached:
+                gens.append(g)
+                frontier = list(reached)
+                for a in frontier:
+                    for b in gens:
+                        if T[a][b] not in reached:
+                            reached.add(T[a][b])
+                            frontier.append(T[a][b])
         for a in range(n):
-            for b in range(n):
+            Ta = T[a]
+            for b in gens:
+                Tab, Tb = T[Ta[b]], T[b]
                 for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
+                    if Tab[c] != Ta[Tb[c]]:
                         raise ValueError(f"associativity fails at ({a},{b},{c})")
         for a in range(n):
-            if not any(self.table[a][b] == 0 for b in range(n)):
+            if 0 not in T[a]:
                 raise ValueError(f"element {a} has no inverse")
 
     @cached_property
@@ -430,19 +460,24 @@ def word_measure_exact(
     """Exact w-measure on an S_N degree (classes keyed by cycle type) or a
     Cayley table (keyed by class index).
 
-    The images of w are tallied over the class-collapsed sweep, each
-    weighted by its class size, and then classified.  Unused generators
-    integrate out; the identity word needs no sweep.
+    The measure is invariant under Aut(F_r) and conjugation, so the
+    sweep runs on `whitehead_minimal(w)`, a shortest word of the orbit of
+    w (a primitive word becomes one letter), and the budget is costed on
+    it.  Its images are tallied over the class-collapsed sweep, each
+    weighted by its class size, and then classified.  The generators it
+    uses are x_1..x_r, the others integrate out; the identity word needs
+    no sweep.
     """
-    letters, r = _effective_letters(w)
+    letters = whitehead_minimal(w).letters
+    r = max((g for g, _ in letters), default=0)
     if isinstance(group, FiniteGroupTable):
-        if group.order**r * max(len(w), 1) > budget:
+        if group.order**r * max(len(letters), 1) > budget:
             raise BudgetExceededError("Cayley enumeration exceeds the budget")
         label, identity = f"cayley:{group.order}", 0
         image, classify = group.word_image, group.class_of.__getitem__
     else:
         if r:
-            _check_budget(group, r, len(w), budget)
+            _check_budget(group, r, len(letters), budget)
         label, identity = f"S{group}", tuple(range(group))
         image, classify = word_image, cycle_type_key
     by_image = Counter() if r else Counter([identity])  # the identity word: no sweep
@@ -536,14 +571,22 @@ def trw_monte_carlo(
     N: int,
     samples: int,
     seed: "int | str",
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[float, float]:
     """Unbiased sample estimate of trw_exact with its standard error.
 
     Deterministic for a fixed seed: every sample is drawn from the one
-    stream `Random(f"{seed}/0")`.
+    stream `Random(f"{seed}/0")`.  The work, samples x max(length, 1)
+    letter evaluations, is checked against `budget` before the first
+    sample.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if samples * max(len(w), 1) > budget:
+        raise BudgetExceededError(
+            f"samples x length exceeds the budget {budget} "
+            f"(samples={samples}, length={len(w)})"
+        )
     letters, r = _effective_letters(w)
     rng = random.Random(f"{seed}/0")
     total = total_sq = 0

@@ -392,3 +392,151 @@ def enumerate_whitehead_moves(rank: int) -> list[WhiteheadMove]:
                     WhiteheadMove(rank, "mult", multiplier=(g, s), codes=tuple(codes))
                 )
     return moves
+
+
+# ----------------------------------------------------------------------
+# Whitehead minimisation
+# ----------------------------------------------------------------------
+#
+# Here a cyclic word is a list of letter codes: v = 2(g - 1) + (s < 0)
+# stands for the letter (g, s), and v ^ 1 for its inverse.  Its
+# Whitehead (star) graph has the letters as vertices and one edge
+# {x, y^-1} per cyclically adjacent pair xy, so a letter's degree deg(a)
+# counts the occurrences of a and a^-1.  For a set A of letters holding a
+# but not a^-1, the Whitehead automorphism (A, a) fixes a and sends every
+# other letter x to a^-1 x if x^-1 is in A, then to (...) a if x is in A.
+# It changes the cyclic length by exactly cap(A) - deg(a), cap(A) the
+# number of edges that leave A (Lyndon-Schupp, Prop. I.4.16); and a
+# cyclic word that is not the shortest of its Aut(F_r)-orbit has a
+# strictly shortening one (Whitehead).  A cut below deg(a) is found by a
+# max-flow from a to a^-1.
+
+
+def _star_graph(core: list[int], n: int) -> list[list[int]]:
+    """The Whitehead graph of a cyclically reduced word on the letters
+    0..n-1, as an edge-multiplicity matrix."""
+    graph = [[0] * n for _ in range(n)]
+    x = core[-1]
+    for y in core:
+        graph[x][y ^ 1] += 1
+        graph[y ^ 1][x] += 1
+        x = y
+    return graph
+
+
+def _shortening_cut(graph: list[list[int]], a: int) -> "set[int] | None":
+    """A minimum cut A of the star graph that holds a but not a^-1, from
+    a max-flow, when cap(A) < deg(a); None when every such cut has
+    capacity deg(a), so that no (A, a) shortens the word.  The paths of
+    one or two edges are saturated first, then augmenting paths are
+    found breadth-first."""
+    t = a ^ 1
+    res = [row[:] for row in graph]
+    ra, rt = res[a], res[t]
+    deg, flow = sum(ra), ra[t]
+    rt[a] += flow
+    ra[t] = 0
+    for v, c in enumerate(ra):
+        rv = res[v]
+        push = min(c, rv[t])
+        if push:
+            ra[v] -= push
+            rv[a] += push
+            rv[t] -= push
+            rt[v] += push
+            flow += push
+    while flow < deg:
+        parent = [-1] * len(graph)
+        parent[a] = a
+        queue = [a]
+        for u in queue:
+            for v, c in enumerate(res[u]):
+                if c and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[t] >= 0:
+                break
+        else:  # a^-1 is out of reach: the reached letters are a minimum cut
+            return set(queue)
+        push, v = deg, t
+        while v != a:
+            u = parent[v]
+            push = min(push, res[u][v])
+            v = u
+        v = t
+        while v != a:
+            u = parent[v]
+            res[u][v] -= push
+            res[v][u] += push
+            v = u
+        flow += push
+    return None
+
+
+def _apply_whitehead(core: list[int], A: set[int], a: int) -> list[int]:
+    """The cyclic reduction of (A, a)(core)."""
+    out: list[int] = []
+    for x in core:
+        if x >> 1 == a >> 1:
+            image: tuple[int, ...] = (x,)
+        else:
+            image = ((a ^ 1,) if x ^ 1 in A else ()) + (x,) + ((a,) if x in A else ())
+        for y in image:
+            if out and out[-1] == y ^ 1:
+                out.pop()
+            else:
+                out.append(y)
+    return _cyclic_core(out)
+
+
+def _cyclic_core(word: list[int]) -> list[int]:
+    i, j = 0, len(word) - 1
+    while i < j and word[i] == word[j] ^ 1:
+        i += 1
+        j -= 1
+    return word[i : j + 1]
+
+
+# the letter of each code, and the code of each letter
+_LETTERS = tuple((g, s) for g in range(1, MAX_RANK + 1) for s in (1, -1))
+_CODES = {letter: v for v, letter in enumerate(_LETTERS)}
+
+
+def _compact(word: list[int]) -> list[int]:
+    """Renumber the generators of a coded word 0, 1, ... in order of
+    first occurrence."""
+    gens = list(dict.fromkeys([x >> 1 for x in word]))
+    if gens == list(range(len(gens))):
+        return word
+    index = {g: 2 * i for i, g in enumerate(gens)}
+    return [index[x >> 1] | (x & 1) for x in word]
+
+
+def whitehead_minimal(w: Word) -> Word:
+    """A shortest cyclically reduced word in the Aut(F_r)-orbit of the
+    conjugacy class of w, in the same ambient rank, its generators
+    renumbered x_1, x_2, ... in order of first occurrence (a permutation
+    of the basis is an automorphism too).
+
+    Starting from the cyclic core, each step takes the first generator a
+    with a cut A below deg(a) and applies (A, a), shortening the word by
+    deg(a) - cap(A); it stops when no generator has one.  A step runs at
+    most r max-flows on the 2r letters, so the cost is polynomial in rank
+    and length.  A word of length 1 is primitive; length 0 is the
+    identity.
+    """
+    core = _compact(_cyclic_core(list(map(_CODES.__getitem__, w.letters))))
+    n = 2 * len({x >> 1 for x in core})  # the letters, numbered 0..n-1
+    shortened = False
+    while len(core) > 1:
+        graph = _star_graph(core, n)
+        for a in range(0, n, 2):
+            A = _shortening_cut(graph, a)
+            if A is not None:
+                core = _apply_whitehead(core, A, a)
+                shortened = True
+                break
+        else:
+            break
+    letters = map(_LETTERS.__getitem__, _compact(core) if shortened else core)
+    return Word(w.ambient_rank, tuple(letters))

@@ -392,3 +392,31 @@ def test_malformed_cayley_json_exits_2(capsys, tmp_path, data, message):
     rc, out, err = run(capsys, "measure", "table", "--word", "x", "--group", f"cayley:{path}")
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_mc_budget_exit_code(capsys):
+    rc, out, err = run(
+        capsys,
+        "measure", "trw", "--word", "[a,b]", "--n", "5", "--mc",
+        "--samples", "20000", "--seed", "1", "--budget", "1",
+    )
+    assert (rc, out) == (4, "")
+    assert err == "budget exceeded: samples x length exceeds the budget 1 (samples=20000, length=4)\n"
+
+
+def test_primitive_word_table_is_costed_on_one_letter(capsys):
+    # a^2b is primitive: the S9 sweep is the one-letter sweep, 9! x 1
+    rc, out, _ = run(capsys, "measure", "table", "--word", "a^2b", "--group", "S9")
+    rc_x, out_x, _ = run(capsys, "measure", "table", "--word", "x", "--group", "S9")
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert (rc, rc_x) == (0, 0)
+    assert rows == [line for line in out_x.splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 1 + 30  # summary, header, p(9) classes
+
+
+def test_non_associative_cayley_table_exits_2(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 3, "table": [[0, 1, 2], [1, 1, 0], [2, 0, 2]]}))
+    rc, out, err = run(capsys, "measure", "table", "--word", "x", "--group", f"cayley:{path}")
+    assert (rc, out) == (2, "")
+    assert err == "error: associativity fails at (1,1,2)\n"

@@ -9,7 +9,7 @@ from wordmaps.errors import BudgetExceededError, HypothesisError
 from wordmaps.extensions import INFINITE_RANK
 from wordmaps.measures import trw_exact
 from wordmaps.stallings import from_generators, rose
-from wordmaps.words import Word, enumerate_whitehead_moves, free_reduce, parse
+from wordmaps.words import Word, enumerate_whitehead_moves, free_reduce, parse, whitehead_minimal
 
 
 def graph(gens, rank):
@@ -226,8 +226,13 @@ def test_primitive_words_of_length_at_most_six():
         if all(x != (y[0], -y[1]) for x, y in zip(w, w[1:] + w[:1]))
     ]
     assert len(words) == 1104
-    primitive = sum(extensions.is_free_factor(from_generators([Word(2, w)], 2), rose(2)) for w in words)
-    assert primitive == 196
+    primitive = [extensions.is_free_factor(from_generators([Word(2, w)], 2), rose(2)) for w in words]
+    assert sum(primitive) == 196
+    # a second route, on the word: the primitive words are those whose
+    # Whitehead-minimal word is one letter, and no word grows
+    minimal = [whitehead_minimal(Word(2, w)) for w in words]
+    assert all(len(m) <= len(w) for m, w in zip(minimal, words))
+    assert [len(m) == 1 for m in minimal] == primitive
 
 
 def test_rank_cap_applies_to_the_image():

@@ -123,6 +123,19 @@ def test_perm_cycle_type_loads_no_core_graph_module():
     assert not loaded & {f"wordmaps.{m}" for m in ("stallings", "extensions", "mobius")}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["measure", "table", "--word", "aab", "--group", "S4"],
+     ["measure", "compare", "--w1", "xyXYxy", "--w2", "[x,y]", "--group", "S4"]],
+    ids=["table", "compare"],
+)
+def test_measure_commands_load_no_core_graph_module(argv):
+    # the Whitehead minimisation lives in `words`, not in `extensions`
+    loaded = loaded_by_cli(*argv)
+    assert {"wordmaps.words", "wordmaps.measures"} <= loaded
+    assert not loaded & {f"wordmaps.{m}" for m in ("stallings", "extensions", "mobius")}
+
+
 def test_every_old_export_resolves_to_its_submodule_object():
     script = f"""
 import importlib, json, wordmaps

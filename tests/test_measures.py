@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -288,11 +289,13 @@ def _oracle_cycle_type(img) -> tuple[int, ...]:
 
 # words that use a generator and its inverse (xyxY, x^2yXy, x^2y^2XY,
 # xyzXYZ; aB, [a,b], aBA) fail if the sweep pairs a coordinate with the
-# wrong inverse
+# wrong inverse; aab, xyz, abc, xyzXYZ and xyXYxy are not the shortest of
+# their Aut(F_r)-orbits, so the sweep runs on a shorter word, of lower
+# rank for all but xyXYxy
 @pytest.mark.parametrize(
     "text,max_N",
     [("x", 5), ("x^2", 5), ("aab", 5), ("[x,y]", 5), ("xyxY", 5), ("x^2yXy", 5),
-     ("x^2y^2XY", 5), ("x^2y^3", 5), ("xyz", 4), ("xyzXYZ", 4)],
+     ("x^2y^2XY", 5), ("x^2y^3", 5), ("xyz", 4), ("xyzXYZ", 4), ("abc", 4), ("xyXYxy", 5)],
 )
 def test_measure_table_matches_all_tuples_oracle(text, max_N):
     w = parse(text)
@@ -374,11 +377,19 @@ CAYLEY_GROUPS = {
 }
 
 
-# the identity, a first and an unused coordinate at rank 2, [x,y]^2
-@pytest.mark.parametrize("name", sorted(CAYLEY_GROUPS))
-@pytest.mark.parametrize("text,rank", [("1", None), ("a", 2), ("b", 2), ("x^2", None),
-                                       ("[x,y]", None), ("[x,y]^2", None), ("x^2y^3", None)])
-def test_cayley_measures_match_all_tuples_oracle(name, text, rank):
+CAYLEY_WORDS = [("1", None), ("a", 2), ("b", 2), ("x^2", None), ("[x,y]", None),
+                ("[x,y]^2", None), ("x^2y^3", None), ("xyXYxy", None)]
+
+
+# the identity, a first and an unused coordinate at rank 2, [x,y]^2, the
+# non-minimal xyXYxy, and the primitive abc on the groups of order <= 8,
+# where the oracle's |G|^3 tuples stay few
+@pytest.mark.parametrize(
+    "text,rank,name",
+    [(text, rank, name) for text, rank in CAYLEY_WORDS for name in sorted(CAYLEY_GROUPS)]
+    + [("abc", None, name) for name in sorted(CAYLEY_GROUPS) if CAYLEY_GROUPS[name].order <= 8],
+)
+def test_cayley_measures_match_all_tuples_oracle(text, rank, name):
     G = CAYLEY_GROUPS[name]
     w = parse(text, rank)
     counts, epi = _oracle_table(w, G)
@@ -504,3 +515,109 @@ def test_rank_one_sweeps_build_no_pool(monkeypatch):
     verdict = perm_powers.word_power_obstruction(parse("x^2"), 2, list(range(1, 10)))
     assert verdict.searched == tuple(range(1, 10)) and not verdict.conclusive
     assert measures._sn_pair_orbits.cache_info().currsize == cached
+
+
+# -- measures sweep the Whitehead-minimal word ------------------------
+
+
+def test_budget_is_costed_on_the_minimal_word():
+    # aab is primitive: its sweep is the one-letter sweep, 5! x 1 on S5
+    assert word_measure_exact(parse("aab"), 5, budget=120) == word_measure_exact(parse("x"), 5)
+    with pytest.raises(BudgetExceededError):
+        word_measure_exact(parse("aab"), 5, budget=119)
+    # (9!)^2 x 3 would pass the default budget; 9! x 1 does not
+    assert word_measure_exact(parse("a^2b"), 9) == word_measure_exact(parse("a"), 9)
+    G = CAYLEY_GROUPS["A5"]
+    assert word_measure_exact(parse("xyXYxy"), G, budget=60**2 * 5).support
+    with pytest.raises(BudgetExceededError):
+        word_measure_exact(parse("xyXYxy"), G, budget=60**2 * 5 - 1)
+
+
+def test_measures_never_enumerate_whitehead_moves(monkeypatch):
+    from wordmaps import words
+
+    def refuse(rank):
+        raise AssertionError("a measure enumerated the Whitehead moves")
+
+    monkeypatch.setattr(words, "enumerate_whitehead_moves", refuse)
+    for text in ("aab", "xyXYxy", "abcABC"):
+        word_measure_exact(parse(text), 4)
+        compare_measures(parse(text), parse("[x,y]"), CAYLEY_GROUPS["S3"])
+
+
+def test_mc_budget_is_checked_before_the_first_sample(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(measures, "random_tuple", refuse)
+    # 20,000 samples x length 4
+    with pytest.raises(BudgetExceededError, match=r"samples=20000, length=4"):
+        trw_monte_carlo(parse("[a,b]"), 5, 20000, seed=1, budget=79_999)
+    monkeypatch.undo()
+    assert trw_monte_carlo(parse("[a,b]"), 5, 20000, seed=1, budget=80_000)
+
+
+# -- Light's associativity test ---------------------------------------
+
+
+def associativity_oracle(table):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc),
+    over all n^3 triples, or None."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
+def _perturbations(G, rng, count=None):
+    """Tables that differ from G's in one entry off row and column 0, so
+    that closure and the identity still hold: every one, or `count` of
+    them drawn by rng."""
+    n = G.order
+    cells = [(i, j, v) for i in range(1, n) for j in range(1, n) for v in range(n) if v != G.table[i][j]]
+    for i, j, v in cells if count is None else rng.sample(cells, count):
+        rows = [list(row) for row in G.table]
+        rows[i][j] = v
+        yield tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("name,count", [("Z5", None), ("Z6", None), ("S3", None), ("D4", None), ("A5", 60)])
+def test_light_test_agrees_with_the_triple_loop(name, count):
+    G = CAYLEY_GROUPS[name]
+    assert associativity_oracle(G.table) is None
+    rejected = 0
+    for table in _perturbations(G, random.Random(name), count):
+        try:
+            FiniteGroupTable(G.order, table)
+            named = None
+        except ValueError as e:
+            named = str(e)
+        triple = associativity_oracle(table)
+        if named is None or not named.startswith("associativity fails at "):
+            assert triple is None, (table, named)
+            continue
+        rejected += 1
+        assert triple is not None
+        a, b, c = map(int, named.removeprefix("associativity fails at ").strip("()").split(","))
+        assert table[table[a][b]][c] != table[a][table[b][c]]
+    # a table one entry away from a group's is never associative
+    assert rejected == (G.order - 1) ** 3 if count is None else rejected == count
+
+
+def test_non_associative_table_is_rejected():
+    # order 3 with identity 0 and the Latin square 1*1 = 1, 1*2 = 0,
+    # 2*1 = 0, 2*2 = 2: (1 1) 2 = 1 2 = 0 but 1 (1 2) = 1 0 = 1
+    with pytest.raises(ValueError, match=r"associativity fails at \(1,1,2\)"):
+        FiniteGroupTable(3, ((0, 1, 2), (1, 1, 0), (2, 0, 2)))
+
+
+def test_associative_table_without_inverses_passes_light_test():
+    # the monoid {1, e, z} with e idempotent and z absorbing is
+    # associative, so it fails only for want of inverses
+    table = ((0, 1, 2), (1, 1, 2), (2, 2, 2))
+    assert associativity_oracle(table) is None
+    with pytest.raises(ValueError, match="element 1 has no inverse"):
+        FiniteGroupTable(3, table)

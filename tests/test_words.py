@@ -1,9 +1,15 @@
+import functools
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wordmaps import words as word_module
 from wordmaps.errors import WordSyntaxError
 from wordmaps.words import (
     Word,
+    WhiteheadMove,
     cyclic_reduce,
     enumerate_whitehead_moves,
     is_dth_power_in_free,
@@ -12,6 +18,7 @@ from wordmaps.words import (
     parse_list,
     parse_lists,
     substitute,
+    whitehead_minimal,
 )
 
 
@@ -197,3 +204,137 @@ def test_whitehead_is_homomorphism(u, v, idx):
     moves = enumerate_whitehead_moves(3)
     move = moves[idx % len(moves)]
     assert move.apply(u * v) == move.apply(u) * move.apply(v)
+
+
+# -- Whitehead minimisation against the move list ---------------------
+
+
+@functools.cache
+def _type_two_moves(rank):
+    return [m for m in enumerate_whitehead_moves(rank) if m.kind == "mult"]
+
+
+def _cyclic_core(w):
+    return cyclic_reduce(w)[0]
+
+
+def descend_by_moves(w):
+    """Oracle for `whitehead_minimal`: greedy descent over every type-II
+    move of `enumerate_whitehead_moves`, taking the first that shortens
+    the cyclic core, until none does (complete by Whitehead's theorem;
+    the type-I moves keep the length)."""
+    core = _cyclic_core(w)
+    while True:
+        images = (_cyclic_core(m.apply(core)) for m in _type_two_moves(w.ambient_rank))
+        shorter = next((v for v in images if len(v) < len(core)), None)
+        if shorter is None:
+            return core
+        core = shorter
+
+
+def random_cyclic_word(rng, rank, length):
+    letters = [(g, s) for g in range(1, rank + 1) for s in (1, -1)]
+    while True:
+        w = [rng.choice(letters) for _ in range(length)]
+        if all(x != (y[0], -y[1]) for x, y in zip(w, w[1:] + w[:1])):
+            return Word(rank, tuple(w))
+
+
+def _seeded_words():
+    rng = random.Random(20190808)
+    return [random_cyclic_word(rng, rank, rng.randint(1, 12)) for rank in (2, 3) for _ in range(160)]
+
+
+def test_minimal_length_matches_the_move_descent():
+    checked = 0
+    for w in _seeded_words():
+        m = whitehead_minimal(w)
+        assert len(m) == len(descend_by_moves(w)), str(w)
+        assert m.ambient_rank == w.ambient_rank and len(m) <= len(w)
+        assert m == _cyclic_core(m)
+        checked += 1
+    assert checked >= 300
+
+
+def _star_cut(core, A):
+    """cap(A) of the star graph of a cyclic letter list: the pairs xy
+    whose edge {x, y^-1} has exactly one end in A."""
+    inv = lambda x: (x[0], -x[1])  # noqa: E731
+    return sum((x in A) != (inv(y) in A) for x, y in zip(core, core[1:] + core[:1]))
+
+
+def test_each_step_shortens_by_the_degree_minus_the_cut(monkeypatch):
+    apply = word_module._apply_whitehead
+    steps = []
+
+    def checked_apply(core, A, a):
+        out = apply(core, A, a)
+        letters = [word_module._LETTERS[x] for x in core]
+        cut = {word_module._LETTERS[x] for x in A}
+        mult = word_module._LETTERS[a]
+        deg = sum(g == mult[0] for g, _ in letters)
+        gain = deg - _star_cut(letters, cut)
+        assert gain > 0 and len(out) == len(core) - gain
+        # (A, a) is the type-II move with these codes
+        rank = max(g for g, _ in letters + [mult])
+        codes = tuple(((g, 1) in cut) + 2 * ((g, -1) in cut) if g != mult[0] else 0
+                      for g in range(1, rank + 1))
+        move = WhiteheadMove(rank, "mult", multiplier=mult, codes=codes)
+        assert [word_module._LETTERS[x] for x in out] == list(
+            _cyclic_core(move.apply(Word(rank, tuple(letters)))).letters)
+        steps.append(gain)
+        return out
+
+    monkeypatch.setattr(word_module, "_apply_whitehead", checked_apply)
+    shortened = 0
+    for w in _seeded_words():
+        before = len(_cyclic_core(w))
+        assert before - len(whitehead_minimal(w)) == sum(steps)
+        shortened += bool(steps)
+        steps.clear()
+    assert shortened >= 150  # 198 of the 320 words are not minimal
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_powers_and_commutator_powers_come_back(rank):
+    # x^d and [x,y]^d under random products of Whitehead automorphisms
+    rng = random.Random(rank)
+    moves = enumerate_whitehead_moves(rank)
+    longer = 0
+    for d in (1, 2, 3):
+        for base, length in ((parse("a", rank), d), (parse("[a,b]", rank), 4 * d)):
+            for _ in range(20):
+                w = base**d
+                for _ in range(rng.randint(2, 6)):
+                    w = _cyclic_core(rng.choice(moves).apply(w))
+                longer += len(w) > length
+                assert len(whitehead_minimal(w)) == length, str(w)
+    # in F_2 only x^d can grow: an automorphism sends [x,y] to a conjugate
+    # of [x,y]^(+-1) (Nielsen)
+    assert longer >= 20
+
+
+def test_minimal_words_of_small_cases():
+    assert str(whitehead_minimal(parse("aab", 2))) == "a"
+    assert str(whitehead_minimal(parse("b", 2))) == "a"  # renumbered
+    assert str(whitehead_minimal(parse("xyXYxy"))) == "aBAba"
+    assert whitehead_minimal(parse("1", 3)) == Word(3, ())
+    assert whitehead_minimal(parse("bab^-1", 2)) == parse("a", 2)
+    assert str(whitehead_minimal(parse("[x,y]^2"))) == "abABabAB"
+
+
+def test_rank_ten_words_of_length_thirty_minimise_fast():
+    # a random word (here primitive: some generator occurs once) descends
+    # step by step to one letter, and the square of one of length 15 to
+    # the square of a letter
+    rng = random.Random(10)
+    for w, length in ((random_cyclic_word(rng, 10, 30), 1), (random_cyclic_word(rng, 10, 15) ** 2, 2)):
+        assert len(w) == 30 and len(whitehead_minimal(w)) == length
+        best = min(_timed(whitehead_minimal, w) for _ in range(5))
+        assert best < 0.01, (str(w), best)
+
+
+def _timed(f, *args):
+    t0 = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - t0
