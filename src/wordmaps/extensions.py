@@ -13,6 +13,10 @@ core graph until none does.  It is complete by peak reduction (Gersten
 strictly shrinking Whitehead move, and the rose (a wedge of distinctly
 labeled loops at the base) is the unique smallest core graph of rank
 rank M; so M is a free factor exactly when the descent reaches a rose.
+
+The poset of H is the set of quotients of Gamma(H); it keeps one mark per
+strict inclusion, which is its order too.  The free-factor closure of H
+in J is the quotient inside J of least rank that is a free factor of J.
 """
 from __future__ import annotations
 
@@ -114,12 +118,13 @@ def _is_free_factor_of_ambient(M: CoreGraph, k: int) -> bool:
 
 @dataclass
 class ExtensionPoset:
-    """The quotient set of a core graph with inclusion/free-factor marks."""
+    """The quotient set of a core graph with its free-factor marks: the
+    keys of `ff_marks` are the strict inclusions (i, j), nodes[i] < nodes[j],
+    and each value says whether nodes[i] is a free factor of nodes[j]."""
 
     base: CoreGraph
     nodes: list[CoreGraph]
     base_index: int
-    leq: dict[tuple[int, int], bool]
     ff_marks: dict[tuple[int, int], bool]
     alg_marks: list[bool]
 
@@ -147,9 +152,8 @@ class ExtensionPoset:
                 }
             )
         edges = [
-            {"from": i, "to": j, "free_factor": self.ff_marks.get((i, j))}
-            for (i, j), v in sorted(self.leq.items())
-            if v and i != j
+            {"from": i, "to": j, "free_factor": ff}
+            for (i, j), ff in sorted(self.ff_marks.items())
         ]
         return json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True)
 
@@ -161,16 +165,12 @@ class ExtensionPoset:
             label = ",".join(str(b) for b in stallings.basis(self.nodes[i])) or "1"
             shape = "doublecircle" if i == self.base_index else "ellipse"
             lines.append(f'  n{i} [shape={shape}, label="<{label}>"];')
+        below = self.ff_marks.keys()
         for i in alg:
             for j in alg:
-                if i == j or not self.leq[(i, j)]:
-                    continue
-                if any(
-                    m not in (i, j) and self.leq[(i, m)] and self.leq[(m, j)]
-                    for m in alg
-                ):
-                    continue  # not a covering relation
-                lines.append(f"  n{i} -> n{j};")
+                # a covering relation: no algebraic node strictly between
+                if (i, j) in below and not any((i, m) in below and (m, j) in below for m in alg):
+                    lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -187,21 +187,17 @@ def algebraic_extensions(H: CoreGraph) -> ExtensionPoset:
     base_index = next(
         i for i, g in enumerate(nodes) if g.canonical_key == H.canonical_key
     )
-    n = len(nodes)
     maps = {
-        (i, j): stallings.morphism(nodes[i], nodes[j])
-        for i in range(n)
-        for j in range(n)
+        (i, j): f
+        for i, A in enumerate(nodes)
+        for j, J in enumerate(nodes)
+        if i != j and (f := stallings.morphism(A, J)) is not None
     }
-    leq = {pair: f is not None for pair, f in maps.items()}
-    comparable = [(i, j) for (i, j), v in leq.items() if v and i != j]
-    marks = _decide([(nodes[i], nodes[j], maps[(i, j)]) for i, j in comparable])
-    ff_marks = dict(zip(comparable, marks))
-    alg_marks = [
-        not any(i != j and leq[(i, j)] and ff_marks[(i, j)] for i in range(n))
-        for j in range(n)
-    ]
-    return ExtensionPoset(H, nodes, base_index, leq, ff_marks, alg_marks)
+    marks = _decide([(nodes[i], nodes[j], f) for (i, j), f in maps.items()])
+    ff_marks = dict(zip(maps, marks))
+    has_proper_ff = {j for (_, j), ff in ff_marks.items() if ff}
+    alg_marks = [j not in has_proper_ff for j in range(len(nodes))]
+    return ExtensionPoset(H, nodes, base_index, ff_marks, alg_marks)
 
 
 def pi_details(H: CoreGraph) -> tuple[float, int, list[CoreGraph]]:
@@ -272,13 +268,25 @@ def pi_iota(
 
 
 def ff_closure(H: CoreGraph, J: CoreGraph) -> CoreGraph:
-    """The unique A with H algebraic in A and A a free factor of J."""
+    """The unique A with H algebraic in A and A a free factor of J.
+
+    A is a quotient of Gamma(H), and it lies in every free factor B of J
+    that contains H, as a free factor of B; so A is the one quotient
+    inside J of least rank that is a free factor of J.  The quotients are
+    decided rank by rank, and the search stops at the first rank that
+    holds a free factor.
+    """
     if not stallings.subgroup_leq(H, J):
         raise ValueError("H is not a subgroup of J")
-    maps = [(A, stallings.morphism(A, J)) for A in stallings.quotients(H)]
-    pairs = [(A, J, f) for A, f in maps if f is not None]
-    candidates = [A for (A, _, _), ff in zip(pairs, _decide(pairs)) if ff]
-    for A in candidates:
-        if all(stallings.subgroup_leq(A, B) for B in candidates):
-            return A
-    raise InternalInvariantError("no minimum among free-factor candidates")
+    by_rank: dict[int, list[tuple[CoreGraph, CoreGraph, list[int]]]] = {}
+    for A in stallings.quotients(H):
+        if (f := stallings.morphism(A, J)) is not None:
+            by_rank.setdefault(A.rank, []).append((A, J, f))
+    for rank in sorted(by_rank):
+        pairs = by_rank[rank]
+        found = [A for (A, _, _), ff in zip(pairs, _decide(pairs)) if ff]
+        if len(found) > 1:
+            raise InternalInvariantError(f"{len(found)} free factors of least rank {rank}")
+        if found:
+            return found[0]
+    raise InternalInvariantError("no quotient of H is a free factor of J")

@@ -526,8 +526,9 @@ def epi_image(w: Word, G: FiniteGroupTable, budget: int = DEFAULT_BUDGET) -> set
     Walks the class-collapsed sweep over all r = `w.ambient_rank`
     coordinates.  A conjugate of a surjection is a surjection, so each
     generating tuple contributes the whole conjugacy class of its image.
+    The sweep is costed as |G|^r x max(length, 1), as on a Cayley table.
     """
-    if G.order**w.ambient_rank > budget:
+    if G.order**w.ambient_rank * max(len(w), 1) > budget:
         raise BudgetExceededError("epimorphism enumeration exceeds the budget")
     out: set[int] = set()
     for _, elems, invs in class_collapsed_tuples(G, w.ambient_rank):
@@ -577,15 +578,15 @@ def trw_monte_carlo(
 
     Deterministic for a fixed seed: every sample is drawn from the one
     stream `Random(f"{seed}/0")`.  The work, samples x max(length, 1)
-    letter evaluations, is checked against `budget` before the first
-    sample.
+    letter evaluations on N points each, is checked against `budget`
+    before the first sample.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if samples * max(len(w), 1) > budget:
+    if samples * max(len(w), 1) * N > budget:
         raise BudgetExceededError(
-            f"samples x length exceeds the budget {budget} "
-            f"(samples={samples}, length={len(w)})"
+            f"samples x length x N exceeds the budget {budget} "
+            f"(samples={samples}, length={len(w)}, N={N})"
         )
     letters, r = _effective_letters(w)
     rng = random.Random(f"{seed}/0")

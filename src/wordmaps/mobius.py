@@ -40,19 +40,13 @@ def derive_R(H: CoreGraph, N: int, budget: int = DEFAULT_BUDGET) -> DerivationTa
     """Compute R_{H,J}(N) for every algebraic extension J of H."""
     poset = extensions.algebraic_extensions(H)
     alg = poset.algebraic_indices()
-    # topological order by number of algebraic predecessors
-    alg_sorted = sorted(
-        alg, key=lambda j: sum(1 for i in alg if i != j and poset.leq[(i, j)])
-    )
+    below = {j: [i for i in alg if (i, j) in poset.ff_marks] for j in alg}
     values: dict[int, Fraction] = {}
     phis: dict[int, Fraction] = {}
-    for j in alg_sorted:
-        phi = _phi_of_node(H, poset.nodes[j], N, budget)
-        below = sum(
-            (values[i] for i in alg if i != j and poset.leq[(i, j)]), Fraction(0)
-        )
-        values[j] = phi - below
-        phis[j] = phi
+    # topological order by number of algebraic predecessors
+    for j in sorted(alg, key=lambda j: len(below[j])):
+        phis[j] = _phi_of_node(H, poset.nodes[j], N, budget)
+        values[j] = phis[j] - sum((values[i] for i in below[j]), Fraction(0))
     return DerivationTable(H, poset, N, values, phis)
 
 

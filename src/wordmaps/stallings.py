@@ -4,7 +4,9 @@ A CoreGraph is stored in canonical form: vertices are numbered 0..n-1 in
 the order of a breadth-first traversal from the base vertex 0, exploring
 outgoing edges by ascending label and then incoming edges by ascending
 label.  Two subgroups of the same ambient free group are equal iff their
-canonical graphs are identical.
+canonical graphs are identical.  The numbering also fixes the spanning
+tree behind `basis` and `rewrite_in_basis`: the breadth-first tree, whose
+edge into a vertex w > 0 is its least edge to a vertex v < w.
 """
 from __future__ import annotations
 
@@ -243,62 +245,35 @@ def image(H: CoreGraph, f: list[int]) -> CoreGraph:
     return _canonicalize(H.ambient_rank, {(f[u], lab, f[v]) for u, lab, v in H.edges})
 
 
-def _spanning_tree(H: CoreGraph) -> tuple[list[tuple[Letter, int] | None], list[Edge]]:
-    """BFS spanning tree in canonical order.
+def _tree(H: CoreGraph) -> tuple[list[list[Letter]], list[Edge]]:
+    """The spanning tree of the canonical numbering: the letters of each
+    vertex's tree path from the base, and the non-tree edges in order.
 
-    Returns per-vertex (incoming tree step, parent) and the ordered list of
-    non-tree edges.  A tree step is ((label, sign), parent): sign +1 means
-    the tree edge points parent -> v.
+    The numbering is a breadth-first order (labels ascending, outgoing
+    before incoming), so the tree edge into a vertex w > 0 is the least
+    (v, label, outgoing before incoming) among its edges to a v < w.
     """
-    parent: list[tuple[tuple[int, int], int] | None] = [None] * H.num_vertices
-    seen = [False] * H.num_vertices
-    seen[0] = True
-    order = [0]
-    i = 0
-    tree_edges: set[Edge] = set()
-    while i < len(order):
-        v = order[i]
-        for lab in range(1, H.ambient_rank + 1):
-            w = H.out_map.get((v, lab))
-            if w is not None and not seen[w]:
-                seen[w] = True
-                parent[w] = ((lab, 1), v)
-                tree_edges.add((v, lab, w))
-                order.append(w)
-            u = H.in_map.get((v, lab))
-            if u is not None and not seen[u]:
-                seen[u] = True
-                parent[u] = ((lab, -1), v)
-                tree_edges.add((u, lab, v))
-                order.append(u)
-        i += 1
-    non_tree = [e for e in H.edges if e not in tree_edges]
-    return parent, non_tree
-
-
-def _path_letters(H: CoreGraph, parent, v: int) -> list[Letter]:
-    """Letters spelling the tree path base -> v."""
-    path: list[Letter] = []
-    while v != 0:
-        (lab, sign), p = parent[v]
-        path.append((lab, sign))
-        v = p
-    path.reverse()
-    return path
+    path: list[list[Letter] | None] = [[]] + [None] * (H.num_vertices - 1)
+    tree: set[Edge] = set()
+    for v, lab, incoming, w in sorted(
+        (min(u, x), lab, u > x, max(u, x)) for u, lab, x in H.edges if u != x
+    ):
+        if path[w] is None:
+            path[w] = path[v] + [(lab, -1 if incoming else 1)]
+            tree.add((w, lab, v) if incoming else (v, lab, w))
+    return path, [e for e in H.edges if e not in tree]  # type: ignore[return-value]
 
 
 def basis(H: CoreGraph) -> list[Word]:
     """A deterministic free basis of H (one word per non-tree edge)."""
-    parent, non_tree = _spanning_tree(H)
-    out = []
-    for u, lab, v in non_tree:
-        letters = (
-            _path_letters(H, parent, u)
-            + [(lab, 1)]
-            + [(g, -s) for g, s in reversed(_path_letters(H, parent, v))]
+    path, non_tree = _tree(H)
+    return [
+        Word(
+            H.ambient_rank,
+            free_reduce(path[u] + [(lab, 1)] + [(g, -s) for g, s in reversed(path[v])]),
         )
-        out.append(Word(H.ambient_rank, letters=free_reduce(letters)))
-    return out
+        for u, lab, v in non_tree
+    ]
 
 
 def rewrite_in_basis(J: CoreGraph, w: Word) -> Word:
@@ -307,8 +282,7 @@ def rewrite_in_basis(J: CoreGraph, w: Word) -> Word:
     The result lives in F_k with k = rank(J); tracing the loop of w in
     Gamma(J) and emitting one letter per non-tree edge crossed.
     """
-    parent, non_tree = _spanning_tree(J)
-    edge_index = {e: i for i, e in enumerate(non_tree)}
+    edge_index = {e: i for i, e in enumerate(_tree(J)[1])}
     k = max(J.rank, 1)
     cur = 0
     out: list[Letter] = []

@@ -278,6 +278,12 @@ _GOLDEN_CASES = [
     (["ext", "pi", "--word", "a^3b"], "pi_a3b.json"),
     (["ext", "ff-closure", "--gens", "a^2", "--in-gens", "a^2,b", "--rank", "2"],
      "ff_closure_a2_in_a2_b.json"),
+    # closures equal to H, strictly between H and J, and equal to J
+    (["ext", "ff-closure", "--gens", "ab^2", "--in-gens", "a,b^2", "--rank", "2"],
+     "ff_closure_ab2_in_a_b2.json"),
+    (["ext", "ff-closure", "--gens", "[a,b]", "--rank", "3"], "ff_closure_comm_ab_in_F3.json"),
+    (["ext", "ff-closure", "--gens", "[a,b^2]", "--in-gens", "a,b^2", "--rank", "2"],
+     "ff_closure_comm_ab2_in_a_b2.json"),
 ]
 
 
@@ -395,13 +401,14 @@ def test_malformed_cayley_json_exits_2(capsys, tmp_path, data, message):
 
 
 def test_mc_budget_exit_code(capsys):
-    rc, out, err = run(
-        capsys,
-        "measure", "trw", "--word", "[a,b]", "--n", "5", "--mc",
-        "--samples", "20000", "--seed", "1", "--budget", "1",
-    )
+    # 20,000 samples x length 4 x N = 5 is 400,000
+    argv = ["measure", "trw", "--word", "[a,b]", "--n", "5", "--mc",
+            "--samples", "20000", "--seed", "1"]
+    assert run(capsys, *argv, "--budget", "400000")[0] == 0
+    rc, out, err = run(capsys, *argv, "--budget", "399999")
     assert (rc, out) == (4, "")
-    assert err == "budget exceeded: samples x length exceeds the budget 1 (samples=20000, length=4)\n"
+    assert err == ("budget exceeded: samples x length x N exceeds the budget 399999 "
+                   "(samples=20000, length=4, N=5)\n")
 
 
 def test_primitive_word_table_is_costed_on_one_letter(capsys):

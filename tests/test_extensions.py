@@ -112,19 +112,25 @@ def random_subgroup(rng, rank, num_gens, max_vertices):
             return H
 
 
+def poset_samples():
+    """46 seeded subgroups of F_2 and F_3 with 2-5 core-graph vertices:
+    (seed, rank, generators, vertex bound, count) per family."""
+    families = [("F2x1", 2, 1, 5, 24), ("F2x2", 2, 2, 4, 12), ("F3x1", 3, 1, 4, 10)]
+    samples = []
+    for seed, rank, num_gens, max_vertices, count in families:
+        rng = random.Random(seed)
+        samples += [random_subgroup(rng, rank, num_gens, max_vertices) for _ in range(count)]
+    return samples
+
+
 def test_free_factor_agrees_with_the_whitehead_oracle():
     # Every comparable quotient pair, decided alone and inside the poset.
     # The oracle searches every pair, and proving that a rank-2 subgroup
     # is no free factor of a rank-3 quotient can take it half a minute,
     # so 2-generator subgroups stay at 4 vertices.  151 pairs, about 13 s
     # on a 2-core machine.
-    families = [("F2x1", 2, 1, 5, 24), ("F2x2", 2, 2, 4, 12), ("F3x1", 3, 1, 4, 10)]
-    samples = []
-    for seed, rank, num_gens, max_vertices, count in families:
-        rng = random.Random(seed)
-        samples += [random_subgroup(rng, rank, num_gens, max_vertices) for _ in range(count)]
     pairs = 0
-    for H in samples:
+    for H in poset_samples():
         poset = extensions.algebraic_extensions(H)
         for (i, j), mark in poset.ff_marks.items():
             M, J = poset.nodes[i], poset.nodes[j]
@@ -132,6 +138,20 @@ def test_free_factor_agrees_with_the_whitehead_oracle():
             assert mark == extensions.is_free_factor(M, J) == want, (M, J)
             pairs += 1
     assert pairs == 151
+
+
+def test_poset_marks_exactly_the_strict_inclusions():
+    # the keys of ff_marks are the order itself: every pair i != j with
+    # nodes[i] <= nodes[j], and no other
+    for H in poset_samples():
+        poset = extensions.algebraic_extensions(H)
+        nodes = poset.nodes
+        assert set(poset.ff_marks) == {
+            (i, j)
+            for i, A in enumerate(nodes)
+            for j, J in enumerate(nodes)
+            if i != j and stallings.subgroup_leq(A, J)
+        }
 
 
 def test_free_factor_in_an_overgroup_agrees_with_the_whitehead_oracle():
@@ -339,6 +359,48 @@ def test_ff_closure_inside_free_factor():
 
 def test_ff_closure_of_commutator():
     assert extensions.ff_closure(graph(["[a,b]"], 2), rose(2)) == rose(2)
+
+
+def ff_closure_oracle(H, J):
+    """The free-factor closure by inclusion: every quotient of Gamma(H)
+    inside J that is a free factor of J, then the one inside all others."""
+    candidates = [
+        A for A in stallings.quotients(H)
+        if stallings.subgroup_leq(A, J) and extensions.is_free_factor(A, J)
+    ]
+    least = [A for A in candidates if all(stallings.subgroup_leq(A, B) for B in candidates)]
+    assert len(least) == 1
+    return least[0]
+
+
+def test_ff_closure_is_the_least_rank_free_factor(monkeypatch):
+    # 330 seeded pairs (H, J) in F_2 and F_3, J the rose or an overgroup
+    # <H, w>; no quotient above the closure's rank is decided.  About 2 s
+    # on a 2-core machine.
+    decide, ranks = extensions._decide, []
+
+    def recording(pairs):
+        ranks.extend(M.rank for M, _, _ in pairs)
+        return decide(pairs)
+
+    monkeypatch.setattr(extensions, "_decide", recording)
+    rng = random.Random("ff-closure")
+    kinds = {"H": 0, "between": 0, "J": 0}
+    pairs = 0
+    for rank, count in ((2, 90), (3, 75)):
+        for _ in range(count):
+            H = random_subgroup(rng, rank, rng.randint(1, 2), 5)
+            over = stallings.from_generators(stallings.basis(H) + [random_word(rng, rank)], rank)
+            for J in (rose(rank), over):
+                want = ff_closure_oracle(H, J)
+                ranks.clear()
+                A = extensions.ff_closure(H, J)
+                assert A == want, (H, J)
+                assert ranks and max(ranks) <= A.rank
+                kinds["H" if A == H else "J" if A == J else "between"] += 1
+                pairs += 1
+    assert pairs == 330
+    assert kinds == {"H": 224, "between": 38, "J": 68}
 
 
 # -- poset exports ----------------------------------------------------

@@ -550,11 +550,22 @@ def test_mc_budget_is_checked_before_the_first_sample(monkeypatch):
         raise AssertionError("a sample was drawn")
 
     monkeypatch.setattr(measures, "random_tuple", refuse)
-    # 20,000 samples x length 4
-    with pytest.raises(BudgetExceededError, match=r"samples=20000, length=4"):
-        trw_monte_carlo(parse("[a,b]"), 5, 20000, seed=1, budget=79_999)
+    # 20,000 samples x length 4 x N = 5
+    with pytest.raises(BudgetExceededError, match=r"samples=20000, length=4, N=5\)"):
+        trw_monte_carlo(parse("[a,b]"), 5, 20000, seed=1, budget=399_999)
+    # each sample shuffles N points: two samples at N = 200,000 cost 1.6M
+    with pytest.raises(BudgetExceededError, match=r"length x N exceeds the budget 8 "):
+        trw_monte_carlo(parse("[a,b]"), 200_000, 2, seed=1, budget=8)
     monkeypatch.undo()
-    assert trw_monte_carlo(parse("[a,b]"), 5, 20000, seed=1, budget=80_000)
+    assert trw_monte_carlo(parse("[a,b]"), 5, 20000, seed=1, budget=400_000)
+
+
+def test_epi_image_is_costed_on_tuples_times_length():
+    # |A5|^2 x len(abAB) = 3,600 x 4, as for a Cayley measure
+    G = CAYLEY_GROUPS["A5"]
+    assert epi_image(parse("abAB"), G, budget=14_400)
+    with pytest.raises(BudgetExceededError, match="epimorphism enumeration"):
+        epi_image(parse("abAB"), G, budget=14_399)
 
 
 # -- Light's associativity test ---------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wordmaps import stallings
 from wordmaps.stallings import CoreGraph, PreGraph, fold, from_generators, rose
-from wordmaps.words import Word, parse
+from wordmaps.words import Word, free_reduce, parse
 
 
 def graph(gens, rank):
@@ -89,6 +89,62 @@ def test_rewrite_rejects_non_member():
     J = graph(["a^2"], 2)
     with pytest.raises(ValueError):
         stallings.rewrite_in_basis(J, parse("b", 2))
+
+
+def _bfs_tree_oracle(H):
+    """A breadth-first spanning tree from the base, labels ascending and
+    outgoing before incoming: each vertex's tree path letters, the
+    visiting order and the non-tree edges in edge order."""
+    path, order, tree = {0: []}, [0], set()
+    for v in order:
+        for lab in range(1, H.ambient_rank + 1):
+            w = H.out_map.get((v, lab))
+            if w is not None and w not in path:
+                path[w], tree = path[v] + [(lab, 1)], tree | {(v, lab, w)}
+                order.append(w)
+            u = H.in_map.get((v, lab))
+            if u is not None and u not in path:
+                path[u], tree = path[v] + [(lab, -1)], tree | {(u, lab, v)}
+                order.append(u)
+    return path, order, [e for e in H.edges if e not in tree]
+
+
+def _basis_oracle(H):
+    path, _, non_tree = _bfs_tree_oracle(H)
+    inverse = lambda letters: [(g, -s) for g, s in reversed(letters)]
+    return [Word(H.ambient_rank, free_reduce(path[u] + [(lab, 1)] + inverse(path[v])))
+            for u, lab, v in non_tree]
+
+
+def _rewrite_oracle(J, w):
+    """w in the oracle's basis of J: one letter per non-tree edge crossed."""
+    index = {e: i + 1 for i, e in enumerate(_bfs_tree_oracle(J)[2])}
+    cur, out = 0, []
+    for g, s in w.letters:
+        nxt = (J.out_map if s == 1 else J.in_map)[(cur, g)]
+        e = (cur, g, nxt) if s == 1 else (nxt, g, cur)
+        if e in index:
+            out.append((index[e], s))
+        cur = nxt
+    assert cur == 0
+    return Word(max(J.rank, 1), free_reduce(out))
+
+
+def test_basis_and_rewrite_agree_with_the_bfs_tree_on_every_quotient():
+    # the canonical numbering is the BFS order, so the tree read off it
+    # is the BFS tree; 120 subgroups, 585 quotients
+    rng = random.Random("bfs-tree")
+    samples = [_random_subgroup(rng, 6) for _ in range(120)]
+    quotients = 0
+    for H in samples:
+        for q in stallings.quotients(H):
+            _, order, _ = _bfs_tree_oracle(q)
+            assert order == list(range(q.num_vertices))
+            assert stallings.basis(q) == _basis_oracle(q)
+            for b in stallings.basis(H):
+                assert stallings.rewrite_in_basis(q, b) == _rewrite_oracle(q, b)
+            quotients += 1
+    assert quotients == 585
 
 
 # -- quotients --------------------------------------------------------
