@@ -17,6 +17,9 @@ rank M; so M is a free factor exactly when the descent reaches a rose.
 The poset of H is the set of quotients of Gamma(H); it keeps one mark per
 strict inclusion, which is its order too.  The free-factor closure of H
 in J is the quotient inside J of least rank that is a free factor of J.
+Neither the closure nor the primitivity rank needs the whole poset: both
+decide the quotients rank by rank, in ascending order, and stop at the
+first rank that holds what they look for.
 """
 from __future__ import annotations
 
@@ -76,20 +79,28 @@ def _reduce(M: CoreGraph, J: CoreGraph, f: list[int]) -> bool | CoreGraph:
     return inner
 
 
-def _decide(pairs: list[tuple[CoreGraph, CoreGraph, list[int]]]) -> list[bool]:
-    """M <=_ff J for each (M, J, morphism) pair.  Every pair is reduced
-    first, so a descent over the rank cap stops the call before any
-    descent runs."""
-    reduced = [_reduce(M, J, f) for M, J, f in pairs]
+def _check_rank_cap(reduced: list[bool | CoreGraph]) -> None:
+    """Refuse reduced pairs whose descent would pass the rank cap, before
+    any of their descents runs."""
     k = max((g.ambient_rank for g in reduced if not isinstance(g, bool)), default=0)
     if k > DEFAULT_RANK_CAP:
         raise BudgetExceededError(
             f"free-factor search at image rank {k} exceeds the cap {DEFAULT_RANK_CAP}"
         )
-    return [
-        g if isinstance(g, bool) else _is_free_factor_of_ambient(g, g.ambient_rank)
-        for g in reduced
-    ]
+
+
+def _settle(g: bool | CoreGraph) -> bool:
+    """The answer to a reduced pair, by its descent when it needs one."""
+    return g if isinstance(g, bool) else _is_free_factor_of_ambient(g, g.ambient_rank)
+
+
+def _decide(pairs: list[tuple[CoreGraph, CoreGraph, list[int]]]) -> list[bool]:
+    """M <=_ff J for each (M, J, morphism) pair.  Every pair is reduced
+    first, so a descent over the rank cap stops the call before any
+    descent runs."""
+    reduced = [_reduce(M, J, f) for M, J, f in pairs]
+    _check_rank_cap(reduced)
+    return [_settle(g) for g in reduced]
 
 
 @functools.cache
@@ -207,15 +218,32 @@ def pi_details(H: CoreGraph) -> tuple[float, int, list[CoreGraph]]:
     pi(1) = 0 because 1 is not primitive in J = {1}, the one subgroup of
     rank 0 that contains it.  Otherwise pi is infinite, with C = 0 and no
     extensions, exactly when H has no proper algebraic extension.
+
+    Only the least rank that holds a proper algebraic extension counts,
+    so the proper quotients J of Gamma(H) are visited by ascending rank
+    and the search stops at the first such rank.  A proper free factor
+    has strictly smaller rank, so J is algebraic exactly when no quotient
+    A <= J of smaller rank is a free factor of J.  All pairs (A, J) of a
+    rank are reduced, and the rank cap checked, before any of its
+    descents; a J's descents then run one at a time and stop at its first
+    free factor.  The extensions come in node order.
     """
     if H.rank == 0:
         return 0, 1, [H]
-    proper = algebraic_extensions(H).proper_algebraic_nodes()
-    if not proper:
-        return INFINITE_RANK, 0, []
-    m = min(g.rank for g in proper)
-    winners = [g for g in proper if g.rank == m]
-    return m, len(winners), winners
+    nodes = stallings.quotients(H)
+    proper = [J for J in nodes if J.canonical_key != H.canonical_key]
+    for m in sorted({J.rank for J in proper}):
+        below = [A for A in nodes if A.rank < m]
+        layer = [J for J in proper if J.rank == m]
+        reduced = [
+            [_reduce(A, J, f) for A in below if (f := stallings.morphism(A, J)) is not None]
+            for J in layer
+        ]
+        _check_rank_cap([g for gs in reduced for g in gs])
+        winners = [J for J, gs in zip(layer, reduced) if not any(map(_settle, gs))]
+        if winners:
+            return m, len(winners), winners
+    return INFINITE_RANK, 0, []
 
 
 def pi(H: CoreGraph) -> float:

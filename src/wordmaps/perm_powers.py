@@ -69,38 +69,17 @@ def cycle_type(p: Perm) -> CycleType:
     return CycleType(len(p), tuple(sorted(counts.items())))
 
 
-def nu_p(n: int, p: int) -> int:
-    """p-adic valuation of n (p must be prime)."""
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
-        raise ValueError(f"{p} is not prime")
-    if n <= 0:
-        raise ValueError("n must be positive")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def _prime_divisors(t: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= t:
-        if t % d == 0:
-            out.append(d)
-            while t % d == 0:
-                t //= d
-        d += 1
-    if t > 1:
-        out.append(t)
-    return out
-
-
 def power_cycle_divisor(t: int, d: int) -> int:
-    """m_t = prod over primes p | t of p^(v_p(d))."""
+    """m_t = prod over primes p | t of p^(v_p(d)), the part of d on the
+    primes of t: peel g = gcd(t, d) off d until it is 1."""
+    if t < 1 or d < 1:
+        raise ValueError(f"t and d must be positive (t={t}, d={d})")
     m = 1
-    for p in _prime_divisors(t):
-        m *= p ** nu_p(d, p)
+    g = math.gcd(t, d)
+    while g > 1:
+        m *= g
+        d //= g
+        g = math.gcd(t, d)
     return m
 
 
@@ -196,14 +175,18 @@ def word_power_obstruction(
 
     A witness proves w is not a d-th power (its image would have to be
     one); no witness is inconclusive from the S_N side.  The verdict also
-    records the exact free-group answer from root extraction.  Degrees
-    past the exhaustive cap draw `sample_budget` seeded samples each; a
-    negative budget raises ValueError.
+    records the exact free-group answer from root extraction; when w is a
+    d-th power in the free group no image can be a witness, and no degree
+    is swept.  Degrees past the exhaustive cap draw `sample_budget` seeded
+    samples each; a negative budget raises ValueError.
     """
     if sample_budget < 0:
         raise ValueError(f"sample budget must be non-negative, got {sample_budget}")
     r = w.ambient_rank
     free_side = is_dth_power_in_free(w, d)
+    if free_side:
+        # every image of w = v^d is the d-th power of the image of v
+        return ObstructionVerdict(str(w), d, None, None, tuple(N_range), True)
     for N in N_range:
         if within_hom_budget(N, r, 1, OBSTRUCTION_EXHAUSTIVE_CAP):
             # whether the image is a d-th power is a class function of the

@@ -276,6 +276,9 @@ _GOLDEN_CASES = [
     (["ext", "pi", "--word", "[x,y]"], "pi_comm_xy.json"),
     (["ext", "pi", "--word", "a^2b^2"], "pi_a2b2.json"),
     (["ext", "pi", "--word", "a^3b"], "pi_a3b.json"),
+    # pi needs only the lowest ranks, under the cap that their posets pass
+    (["ext", "pi", "--word", "[a,b]^2"], "pi_comm_ab_squared.json"),
+    (["ext", "pi", "--word", "[a,b][a,c]"], "pi_comm_ab_comm_ac.json"),
     (["ext", "ff-closure", "--gens", "a^2", "--in-gens", "a^2,b", "--rank", "2"],
      "ff_closure_a2_in_a2_b.json"),
     # closures equal to H, strictly between H and J, and equal to J
@@ -308,11 +311,23 @@ def test_ff_closure_lists_share_one_letter_numbering(capsys):
 
 
 def test_rank_cap_exits_before_any_search(capsys):
+    # the full poset reduces every pair before its first descent
     t0 = time.perf_counter()
-    rc, out, err = run(capsys, "ext", "pi", "--word", "[a,b]^2")
+    rc, out, err = run(capsys, "ext", "ae", "--gens", "[a,b]^2")
     assert time.perf_counter() - t0 < 5
     assert rc == 4 and out == ""
     assert err == "budget exceeded: free-factor search at image rank 5 exceeds the cap 4\n"
+
+
+def test_pi_of_a_twelve_vertex_power_answers_in_seconds(capsys):
+    # pi stops at rank 1, where <[a,b]> is algebraic, and never reaches
+    # the ranks that pass the cap
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "ext", "pi", "--word", "[a,b]^3")
+    assert time.perf_counter() - t0 < 5
+    assert (rc, err) == (0, "")
+    assert json.loads(out.split("\n", 1)[1])["result"] == {
+        "C": 1, "extensions": [["baBA"]], "pi": 1}
 
 
 def test_power_gap_csv(capsys):

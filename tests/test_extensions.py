@@ -9,7 +9,14 @@ from wordmaps.errors import BudgetExceededError, HypothesisError
 from wordmaps.extensions import INFINITE_RANK
 from wordmaps.measures import trw_exact
 from wordmaps.stallings import from_generators, rose
-from wordmaps.words import Word, enumerate_whitehead_moves, free_reduce, parse, whitehead_minimal
+from wordmaps.words import (
+    Word,
+    enumerate_whitehead_moves,
+    free_reduce,
+    maximal_root,
+    parse,
+    whitehead_minimal,
+)
 
 
 def graph(gens, rank):
@@ -235,22 +242,27 @@ def test_descent_is_bounded_without_a_state_cap(monkeypatch, word, expected, fol
     assert folds <= (len(M.edges) - M.rank + 1) * len(enumerate_whitehead_moves(2))
 
 
-def test_primitive_words_of_length_at_most_six():
-    # all 1,104 cyclically reduced words of length 1..6 in F_2; 196 of
-    # them are primitive
-    letters = [(g, e) for g in (1, 2) for e in (1, -1)]
-    words = [
-        list(w)
-        for n in range(1, 7)
+def cyclically_reduced_words(rank, max_length):
+    """Every cyclically reduced word of length 1..max_length in F_rank."""
+    letters = [(g, e) for g in range(1, rank + 1) for e in (1, -1)]
+    return [
+        Word(rank, w)
+        for n in range(1, max_length + 1)
         for w in itertools.product(letters, repeat=n)
         if all(x != (y[0], -y[1]) for x, y in zip(w, w[1:] + w[:1]))
     ]
+
+
+def test_primitive_words_of_length_at_most_six():
+    # all 1,104 cyclically reduced words of length 1..6 in F_2; 196 of
+    # them are primitive
+    words = cyclically_reduced_words(2, 6)
     assert len(words) == 1104
-    primitive = [extensions.is_free_factor(from_generators([Word(2, w)], 2), rose(2)) for w in words]
+    primitive = [extensions.is_free_factor(from_generators([w], 2), rose(2)) for w in words]
     assert sum(primitive) == 196
     # a second route, on the word: the primitive words are those whose
     # Whitehead-minimal word is one letter, and no word grows
-    minimal = [whitehead_minimal(Word(2, w)) for w in words]
+    minimal = [whitehead_minimal(w) for w in words]
     assert all(len(m) <= len(w) for m, w in zip(minimal, words))
     assert [len(m) == 1 for m in minimal] == primitive
 
@@ -268,7 +280,7 @@ def test_rank_cap_applies_to_the_image():
 def test_rank_cap_stops_the_poset_before_any_search(monkeypatch):
     monkeypatch.setattr(extensions, "_is_free_factor_of_ambient", _unreachable)
     with pytest.raises(BudgetExceededError, match="image rank 5 exceeds the cap 4"):
-        extensions.pi_details(graph(["[a,b]^2"], 2))
+        extensions.algebraic_extensions(graph(["[a,b]^2"], 2))
 
 
 # -- algebraic extensions ---------------------------------------------
@@ -303,6 +315,9 @@ def test_pi_values():
     assert extensions.pi_of_word(parse("a^2", 2)) == 1
     assert extensions.pi_details(graph(["[a,b]"], 2))[:2] == (2, 1)
     assert extensions.pi_details(graph(["a^2b^2"], 2))[:2] == (2, 1)
+    # 5-vertex words: pi needs only the lowest ranks of their posets
+    assert extensions.pi_of_word(parse("a^2bab", 2)) == INFINITE_RANK
+    assert extensions.pi_details(graph(["a^2bAb"], 2))[:2] == (2, 1)
 
 
 def test_pi_of_the_trivial_word_is_zero_with_one_extension():
@@ -314,6 +329,79 @@ def test_pi_of_the_trivial_word_is_zero_with_one_extension():
     pi, C, _ = extensions.pi_details(H)
     for N in range(1, 8):
         assert trw_exact(parse("1", 2), N) == N == 1 + C * N ** (1 - pi) - 1
+
+
+def test_pi_agrees_with_roots_and_whitehead_minimal_words():
+    # all 1,104 cyclically reduced words of length <= 6 in F_2: pi = 1
+    # exactly for the proper powers, and pi = inf exactly for the
+    # primitive words (Puder 2014), whose Whitehead-minimal word is one
+    # letter; every other word has pi = 2 = rank F_2, with C >= 1.
+    # About 5 s on a 2-core machine.
+    counts = {}
+    for w in cyclically_reduced_words(2, 6):
+        pi, C, winners = extensions.pi_details(from_generators([w], 2))
+        power = maximal_root(w)[1] > 1
+        primitive = len(whitehead_minimal(w)) == 1
+        assert ((pi == 1), (pi == INFINITE_RANK)) == (power, primitive), w
+        if not (power or primitive):
+            assert pi == 2, w
+        assert C == len(winners) and (C >= 1) == (pi != INFINITE_RANK), w
+        counts[pi] = counts.get(pi, 0) + 1
+    assert counts == {INFINITE_RANK: 196, 1: 60, 2: 848}
+
+
+def pi_details_oracle(H):
+    """pi_details read off the whole poset: the proper algebraic nodes of
+    least rank, in node order."""
+    if H.rank == 0:
+        return 0, 1, [H]
+    proper = extensions.algebraic_extensions(H).proper_algebraic_nodes()
+    if not proper:
+        return INFINITE_RANK, 0, []
+    m = min(g.rank for g in proper)
+    winners = [g for g in proper if g.rank == m]
+    return m, len(winners), winners
+
+
+def test_pi_agrees_with_the_whole_poset(monkeypatch):
+    # 180 seeded subgroups of F_2 and F_3 on 1-3 words with 2-6 core-graph
+    # vertices, and 4 words whose poset stops at the rank cap, where pi
+    # answers.  pi_details builds no poset and reduces no pair into a
+    # quotient of rank above pi.  About 5 s on a 2-core machine.
+    reduce, ranks = extensions._reduce, []
+
+    def recording(M, J, f):
+        ranks.append(J.rank)
+        return reduce(M, J, f)
+
+    families = [("pi-F2x1", 2, 1, 6, 80), ("pi-F2x2", 2, 2, 5, 40), ("pi-F2x3", 2, 3, 5, 10),
+                ("pi-F3x1", 3, 1, 5, 30), ("pi-F3x2", 3, 2, 5, 20)]
+    samples = []
+    for seed, rank, num_gens, max_vertices, count in families:
+        rng = random.Random(seed)
+        samples += [random_subgroup(rng, rank, num_gens, max_vertices) for _ in range(count)]
+    # words whose poset stops at the cap: a square, and words of length 6-9
+    samples += [graph([w], r) for w, r in [("[a,b]^2", 2), ("abaaBABB", 2), ("BaBBaaaBA", 2),
+                                           ("cabACb", 3)]]
+    counts = {}
+    for H in samples:
+        try:
+            want = pi_details_oracle(H)
+        except BudgetExceededError:
+            want = None
+        with monkeypatch.context() as patch:
+            patch.setattr(extensions, "algebraic_extensions", _unreachable)
+            patch.setattr(extensions, "_reduce", recording)
+            ranks.clear()
+            got = extensions.pi_details(H)
+        assert want is None or got == want, H
+        assert max(ranks, default=0) <= got[0]
+        key = (got[0], "poset capped" if want is None else "agrees")
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == {
+        (1, "agrees"): 21, (2, "agrees"): 62, (INFINITE_RANK, "agrees"): 97,
+        (1, "poset capped"): 1, (2, "poset capped"): 3,
+    }
 
 
 def test_pi_iota_commutator_substitution():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from wordmaps import measures, perm_powers
 from wordmaps.errors import HypothesisError
 from wordmaps.perm_powers import (
+    ObstructionVerdict,
     cycle_type,
     cycles,
     dth_root,
@@ -66,6 +67,32 @@ def test_power_cycle_divisor():
     assert power_cycle_divisor(6, 4) == 4
     assert power_cycle_divisor(3, 6) == 3
     assert power_cycle_divisor(5, 4) == 1
+
+
+def power_cycle_divisor_by_factoring(t, d):
+    """prod over primes p | t of p^(v_p(d)), by trial division of t."""
+    m, p = 1, 2
+    while t > 1:
+        if t % p == 0:
+            while t % p == 0:
+                t //= p
+            while d % p == 0:
+                d //= p
+                m *= p
+        p += 1
+    return m
+
+
+def test_power_cycle_divisor_agrees_with_the_factorisation():
+    for t in range(1, 201):
+        for d in range(1, 201):
+            assert power_cycle_divisor(t, d) == power_cycle_divisor_by_factoring(t, d), (t, d)
+
+
+@pytest.mark.parametrize("t,d", [(0, 2), (3, 0), (4, -2)])
+def test_power_cycle_divisor_needs_positive_arguments(t, d):
+    with pytest.raises(ValueError, match="must be positive"):
+        power_cycle_divisor(t, d)
 
 
 def test_is_power_examples():
@@ -187,6 +214,34 @@ def test_obstruction_witness_matches_the_first_coordinate_sweep(text, d):
     w = parse(text)
     for N in range(1, 7):
         assert word_power_obstruction(w, d, [N]).witness_tuple == _first_witness(w, d, N), N
+
+
+def _unreachable(*_args):
+    raise AssertionError("this step must not be reached")
+
+
+@pytest.mark.parametrize("text,d", [("aa", 2), ("[a,b]^2", 2), ("1", 2), ("a^6", 3)])
+def test_obstruction_of_a_power_in_the_free_group_sweeps_nothing(monkeypatch, text, d):
+    # every image of w = v^d is the d-th power of the image of v, so the
+    # sweep could find no witness; the verdict is the sweep's, unswept
+    w = parse(text, 2)
+    assert all(_first_witness(w, d, N) is None for N in range(1, 6))
+    monkeypatch.setattr(perm_powers, "class_collapsed_tuples", _unreachable)
+    monkeypatch.setattr(perm_powers, "random_tuple", _unreachable)
+    # 12 is past the exhaustive cap, where the search would sample
+    v = word_power_obstruction(w, d, [2, 3, 12])
+    assert v == ObstructionVerdict(str(w), d, None, None, (2, 3, 12), True)
+    with pytest.raises(ValueError, match="sample budget"):
+        word_power_obstruction(w, d, [2], sample_budget=-1)
+
+
+@pytest.mark.parametrize("text,d", [("a^3", 2), ("[a,b]^2", 3), ("a^2b^2", 2), ("a^4", 3)])
+def test_obstruction_of_a_power_that_is_no_dth_power_still_sweeps(text, d):
+    w = parse(text, 2)
+    for N in range(1, 6):
+        v = word_power_obstruction(w, d, [N])
+        assert not v.is_power_in_free_group
+        assert v.witness_tuple == _first_witness(w, d, N), N
 
 
 def test_obstruction_rejects_a_negative_sample_budget():
