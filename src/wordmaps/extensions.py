@@ -17,9 +17,9 @@ rank M; so M is a free factor exactly when the descent reaches a rose.
 The poset of H is the set of quotients of Gamma(H); it keeps one mark per
 strict inclusion, which is its order too.  The free-factor closure of H
 in J is the quotient inside J of least rank that is a free factor of J.
-Neither the closure nor the primitivity rank needs the whole poset: both
-decide the quotients rank by rank, in ascending order, and stop at the
-first rank that holds what they look for.
+Neither the closure nor pi nor pi_iota needs the whole poset: one search
+decides their candidate quotients rank by rank, in ascending order, and
+stops at the first rank that holds what each looks for.
 """
 from __future__ import annotations
 
@@ -211,39 +211,46 @@ def algebraic_extensions(H: CoreGraph) -> ExtensionPoset:
     return ExtensionPoset(H, nodes, base_index, ff_marks, alg_marks)
 
 
+def _least_rank(candidates, pairs_of, wins) -> tuple[float, list[CoreGraph]]:
+    """The least rank of the candidates that holds a winner, with its
+    winners in candidate order, or (inf, []).  A rank's pairs_of pairs are
+    all reduced, and the cap checked, before its descents; wins reads each
+    candidate's answers lazily, so its descents stop where wins stops."""
+    for m in sorted({J.rank for J in candidates}):
+        layer = [J for J in candidates if J.rank == m]
+        reduced = [[_reduce(*pair) for pair in pairs_of(J)] for J in layer]
+        _check_rank_cap([g for gs in reduced for g in gs])
+        winners = [J for J, gs in zip(layer, reduced) if wins(map(_settle, gs))]
+        if winners:
+            return m, winners
+    return INFINITE_RANK, []
+
+
+def _least_algebraic_rank(nodes, candidates) -> tuple[float, list[CoreGraph]]:
+    """`_least_rank` of the algebraic candidates among the quotients
+    `nodes`: a proper free factor has strictly smaller rank, so J is
+    algebraic when no quotient of lower rank below it is a free factor."""
+    def pairs_of(J):
+        below = (A for A in nodes if A.rank < J.rank)
+        return [(A, J, f) for A in below if (f := stallings.morphism(A, J)) is not None]
+    return _least_rank(candidates, pairs_of, lambda answers: not any(answers))
+
+
 def pi_details(H: CoreGraph) -> tuple[float, int, list[CoreGraph]]:
     """(pi, C, minimal-rank extensions) for the primitivity rank of H.
 
     The trivial subgroup gives (0, 1, [H]): following Puder-Parzanchevski,
     pi(1) = 0 because 1 is not primitive in J = {1}, the one subgroup of
     rank 0 that contains it.  Otherwise pi is infinite, with C = 0 and no
-    extensions, exactly when H has no proper algebraic extension.
-
-    Only the least rank that holds a proper algebraic extension counts,
-    so the proper quotients J of Gamma(H) are visited by ascending rank
-    and the search stops at the first such rank.  A proper free factor
-    has strictly smaller rank, so J is algebraic exactly when no quotient
-    A <= J of smaller rank is a free factor of J.  All pairs (A, J) of a
-    rank are reduced, and the rank cap checked, before any of its
-    descents; a J's descents then run one at a time and stop at its first
-    free factor.  The extensions come in node order.
+    extensions, exactly when H has no proper algebraic extension.  The
+    proper quotients are decided rank by rank up to the least rank that
+    holds one, whose extensions come in node order.
     """
     if H.rank == 0:
         return 0, 1, [H]
     nodes = stallings.quotients(H)
-    proper = [J for J in nodes if J.canonical_key != H.canonical_key]
-    for m in sorted({J.rank for J in proper}):
-        below = [A for A in nodes if A.rank < m]
-        layer = [J for J in proper if J.rank == m]
-        reduced = [
-            [_reduce(A, J, f) for A in below if (f := stallings.morphism(A, J)) is not None]
-            for J in layer
-        ]
-        _check_rank_cap([g for gs in reduced for g in gs])
-        winners = [J for J, gs in zip(layer, reduced) if not any(map(_settle, gs))]
-        if winners:
-            return m, len(winners), winners
-    return INFINITE_RANK, 0, []
+    m, winners = _least_algebraic_rank(nodes, [J for J in nodes if J != H])
+    return m, len(winners), winners
 
 
 def pi(H: CoreGraph) -> float:
@@ -261,14 +268,15 @@ def is_algebraic_in_ambient(H: CoreGraph, k: int) -> bool:
     return ff_closure(H, top) == top
 
 
-def pi_iota(
-    H_gens: list[Word], k: int, images: list[Word]
-) -> tuple[float, int]:
+def pi_iota(H_gens: list[Word], k: int, images: list[Word]) -> tuple[float, int]:
     """Relative primitivity rank of H <=_alg F_k under x_i -> images[i].
 
     Returns (value, C): the smallest rank of an algebraic extension of
     the image subgroup not contained in the image of F_k, and the number
-    of extensions attaining it; (inf, 0) when no extension escapes.
+    of extensions attaining it; (inf, 0) when no extension escapes.  The
+    test for an algebraic quotient J of Gamma(iota(H)) holds whether J
+    escapes U, the image of F_k, or not; so the quotients inside U are
+    dropped before any pair is reduced, and the rest decided as in `pi`.
     """
     if len(images) != k:
         raise ValueError(f"expected {k} images, got {len(images)}")
@@ -285,14 +293,10 @@ def pi_iota(
     iota_h = stallings.from_generators(
         [substitute(b.with_rank(k), images) for b in stallings.basis(H)], r
     )
-    poset = algebraic_extensions(iota_h)
-    escaping = [
-        g for g in poset.algebraic_nodes() if not stallings.subgroup_leq(g, U)
-    ]
-    if not escaping:
-        return INFINITE_RANK, 0
-    m = min(g.rank for g in escaping)
-    return m, sum(1 for g in escaping if g.rank == m)
+    nodes = stallings.quotients(iota_h)
+    escaping = [J for J in nodes if not stallings.subgroup_leq(J, U)]
+    m, winners = _least_algebraic_rank(nodes, escaping)
+    return m, len(winners)
 
 
 def ff_closure(H: CoreGraph, J: CoreGraph) -> CoreGraph:
@@ -301,20 +305,15 @@ def ff_closure(H: CoreGraph, J: CoreGraph) -> CoreGraph:
     A is a quotient of Gamma(H), and it lies in every free factor B of J
     that contains H, as a free factor of B; so A is the one quotient
     inside J of least rank that is a free factor of J.  The quotients are
-    decided rank by rank, and the search stops at the first rank that
-    holds a free factor.
+    decided rank by rank, each by its one pair (A, J), and the search
+    stops at the first rank that holds a free factor.
     """
     if not stallings.subgroup_leq(H, J):
         raise ValueError("H is not a subgroup of J")
-    by_rank: dict[int, list[tuple[CoreGraph, CoreGraph, list[int]]]] = {}
-    for A in stallings.quotients(H):
-        if (f := stallings.morphism(A, J)) is not None:
-            by_rank.setdefault(A.rank, []).append((A, J, f))
-    for rank in sorted(by_rank):
-        pairs = by_rank[rank]
-        found = [A for (A, _, _), ff in zip(pairs, _decide(pairs)) if ff]
-        if len(found) > 1:
-            raise InternalInvariantError(f"{len(found)} free factors of least rank {rank}")
-        if found:
-            return found[0]
-    raise InternalInvariantError("no quotient of H is a free factor of J")
+    maps = {A: f for A in stallings.quotients(H) if (f := stallings.morphism(A, J)) is not None}
+    rank, found = _least_rank(list(maps), lambda A: [(A, J, maps[A])], any)
+    if len(found) > 1:
+        raise InternalInvariantError(f"{len(found)} free factors of least rank {rank}")
+    if not found:
+        raise InternalInvariantError("no quotient of H is a free factor of J")
+    return found[0]

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesisError
+from .errors import HypothesisError, InternalInvariantError
 from .measures import (  # evaluate_word is re-exported: bench/tracer.py wraps it here
     Perm,
     class_collapsed_tuples,
@@ -120,7 +120,8 @@ def dth_root(p: Perm, d: int) -> Perm | None:
             for a, b in zip(big, big[1:] + big[:1]):
                 root[a] = b
     root_t = tuple(root)
-    assert power_of_permutation(root_t, d) == p
+    if power_of_permutation(root_t, d) != p:
+        raise InternalInvariantError(f"constructed root to the power {d} is not the permutation")
     return root_t
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wordmaps import cli
+from wordmaps import cli, perm_powers
 from wordmaps.measures import FiniteGroupTable
 
 
@@ -279,6 +279,12 @@ _GOLDEN_CASES = [
     # pi needs only the lowest ranks, under the cap that their posets pass
     (["ext", "pi", "--word", "[a,b]^2"], "pi_comm_ab_squared.json"),
     (["ext", "pi", "--word", "[a,b][a,c]"], "pi_comm_ab_comm_ac.json"),
+    # pi_iota decides only the lowest ranks of the image's quotients, where
+    # the whole poset of the image stops at the rank cap
+    (["ext", "pi-iota", "--gens", "a^3b^3", "--rank", "2", "--images", "a,bab",
+      "--image-rank", "2"], "pi_iota_a3b3_under_a_bab.json"),
+    (["ext", "pi-iota", "--gens", "[a,b]^2", "--rank", "2", "--images", "a,b^2",
+      "--image-rank", "2"], "pi_iota_comm_ab_squared_under_a_b2.json"),
     (["ext", "ff-closure", "--gens", "a^2", "--in-gens", "a^2,b", "--rank", "2"],
      "ff_closure_a2_in_a2_b.json"),
     # closures equal to H, strictly between H and J, and equal to J
@@ -328,6 +334,34 @@ def test_pi_of_a_twelve_vertex_power_answers_in_seconds(capsys):
     assert (rc, err) == (0, "")
     assert json.loads(out.split("\n", 1)[1])["result"] == {
         "C": 1, "extensions": [["baBA"]], "pi": 1}
+
+
+def test_inequality_under_a_twelve_vertex_image_answers_in_seconds(capsys):
+    # pi_iota stops at rank 2 among the 2,225 quotients of the image graph
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "mobius", "inequality", "--word", "a^3b^3", "--rank", "2",
+                       "--images", "aab,b", "--image-rank", "2", "--n", "3..4")
+    assert time.perf_counter() - t0 < 5
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-2:] == ["3,3,2,5,2,strict", "4,4,3,13,6,strict"]
+
+
+def test_pi_iota_past_the_rank_cap_still_exits_4(capsys):
+    # no rank under 5 holds an escaping algebraic extension, and the
+    # search stops at an image of rank 5, over the cap
+    rc, out, err = run(capsys, "ext", "pi-iota", "--gens", "BabA", "--rank", "2",
+                       "--images", "BC,BCA", "--image-rank", "3")
+    assert rc == 4 and out == ""
+    assert err == "budget exceeded: free-factor search at image rank 5 exceeds the cap 4\n"
+
+
+def test_perm_root_self_check_exits_5(capsys, monkeypatch):
+    # a root that fails its own check is a bug, reported as one
+    monkeypatch.setattr(perm_powers, "power_of_permutation", lambda p, d: tuple(range(len(p))))
+    rc, out, err = run(capsys, "perm", "root", "--perm", "(1 2)(3 4)", "--degree", "4", "--d", "2")
+    assert rc == 5 and out == ""
+    assert err == ("internal invariant failure: constructed root to the power 2 "
+                   "is not the permutation\n")
 
 
 def test_power_gap_csv(capsys):

@@ -15,6 +15,7 @@ from wordmaps.words import (
     free_reduce,
     maximal_root,
     parse,
+    substitute,
     whitehead_minimal,
 )
 
@@ -404,6 +405,87 @@ def test_pi_agrees_with_the_whole_poset(monkeypatch):
     }
 
 
+def pi_iota_oracle(H_gens, k, images):
+    """pi_iota read off the whole poset of the image subgroup: its
+    algebraic nodes not inside U, the image of F_k, and their least rank."""
+    r = max(im.ambient_rank for im in images)
+    H = from_generators([g.with_rank(k) for g in H_gens], k)
+    U = from_generators([im.with_rank(r) for im in images], r)
+    iota_h = from_generators([substitute(b.with_rank(k), images) for b in stallings.basis(H)], r)
+    poset = extensions.algebraic_extensions(iota_h)
+    escaping = [g for g in poset.algebraic_nodes() if not stallings.subgroup_leq(g, U)]
+    if not escaping:
+        return INFINITE_RANK, 0
+    m = min(g.rank for g in escaping)
+    return m, sum(1 for g in escaping if g.rank == m)
+
+
+def pi_iota_samples():
+    """Seeded substitutions w -> w(u_1, u_2) from F_2 into F_2 and F_3
+    that pass the hypotheses of pi_iota (w in no proper free factor, the
+    images free) and whose image graph has at most 6 vertices, so that
+    the oracle's poset stays small.  Per family: (seed, image rank,
+    count, whether the images may generate a free factor, where nothing
+    escapes their closure and pi_iota is infinite)."""
+    words = [w for w in cyclically_reduced_words(2, 5)
+             if extensions.is_algebraic_in_ambient(from_generators([w], 2), 2)]
+    samples = []
+    for seed, r, count, ff_images in (("iota-F2", 2, 40, False), ("iota-F3", 3, 15, True)):
+        rng = random.Random(seed)
+        while count:
+            w, images = rng.choice(words), [random_word(rng, r) for _ in range(2)]
+            U = from_generators(images, r)
+            if (from_generators([substitute(w, images)], r).num_vertices <= 6 and U.rank == 2
+                    and (ff_images or not extensions.is_free_factor(U, rose(r)))):
+                samples.append((w, images))
+                count -= 1
+    return samples
+
+
+def test_pi_iota_agrees_with_the_whole_poset(monkeypatch):
+    # 55 seeded substitutions, and 2 whose poset stops at the rank cap
+    # where pi_iota answers at rank 2; one seeded substitution stops at
+    # the cap on both routes.  pi_iota builds no poset and reduces no
+    # pair into a quotient of rank above its answer.  About 5 s on a
+    # 2-core machine.
+    reduce, ranks = extensions._reduce, []
+
+    def recording(M, J, f):
+        ranks.append(J.rank)
+        return reduce(M, J, f)
+
+    samples = pi_iota_samples() + [
+        (parse(w, 2), [parse(u, 2) for u in images])
+        for w, images in [("aBab", ["b", "ABa"]), ("Abab", ["BBa", "BA"])]
+    ]
+    counts = {}
+    for w, images in samples:
+        try:
+            want = pi_iota_oracle([w], 2, images)
+        except BudgetExceededError:
+            want = None
+        with monkeypatch.context() as patch:
+            patch.setattr(extensions, "algebraic_extensions", _unreachable)
+            patch.setattr(extensions, "_reduce", recording)
+            # the samples pass this hypothesis; its check reduces pairs into F_2
+            patch.setattr(extensions, "is_algebraic_in_ambient", lambda H, k: True)
+            ranks.clear()
+            try:
+                got = extensions.pi_iota([w], 2, images)
+            except BudgetExceededError:
+                assert want is None, (w, images)
+                got = "refused"
+        if got != "refused":
+            assert want is None or got == want, (w, images)
+            assert max(ranks, default=0) <= got[0], (w, images)
+        key = (got if got == "refused" else got[0], "oracle capped" if want is None else "agrees")
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == {
+        (2, "agrees"): 42, (INFINITE_RANK, "agrees"): 12,
+        (2, "oracle capped"): 2, ("refused", "oracle capped"): 1,
+    }
+
+
 def test_pi_iota_commutator_substitution():
     value, count = extensions.pi_iota(
         [parse("[a,b]", 2)], 2, [parse("a^2", 2), parse("b", 2)]
@@ -463,15 +545,15 @@ def ff_closure_oracle(H, J):
 
 def test_ff_closure_is_the_least_rank_free_factor(monkeypatch):
     # 330 seeded pairs (H, J) in F_2 and F_3, J the rose or an overgroup
-    # <H, w>; no quotient above the closure's rank is decided.  About 2 s
-    # on a 2-core machine.
-    decide, ranks = extensions._decide, []
+    # <H, w>; no quotient above the closure's rank is reduced, so none is
+    # decided.  About 2 s on a 2-core machine.
+    reduce, ranks = extensions._reduce, []
 
-    def recording(pairs):
-        ranks.extend(M.rank for M, _, _ in pairs)
-        return decide(pairs)
+    def recording(M, J, f):
+        ranks.append(M.rank)
+        return reduce(M, J, f)
 
-    monkeypatch.setattr(extensions, "_decide", recording)
+    monkeypatch.setattr(extensions, "_reduce", recording)
     rng = random.Random("ff-closure")
     kinds = {"H": 0, "between": 0, "J": 0}
     pairs = 0

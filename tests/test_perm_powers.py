@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordmaps import measures, perm_powers
-from wordmaps.errors import HypothesisError
+from wordmaps.errors import HypothesisError, InternalInvariantError
 from wordmaps.perm_powers import (
     ObstructionVerdict,
     cycle_type,
@@ -107,6 +107,13 @@ def test_root_examples():
     assert power_of_permutation(sq, 2) == parse_cycles("(1 2)(3 4)", 4)
     assert dth_root(identity(4), 2) is not None
     assert dth_root(parse_cycles("(1 2)(3 4)(5 6)", 6), 2) is None
+
+
+def test_root_self_check_raises_an_internal_invariant_error(monkeypatch):
+    # a plain assert would vanish under python -O
+    monkeypatch.setattr(perm_powers, "power_of_permutation", lambda p, d: identity(len(p)))
+    with pytest.raises(InternalInvariantError, match="constructed root to the power 2"):
+        dth_root(parse_cycles("(1 2)(3 4)", 4), 2)
 
 
 # -- criterion vs brute-force oracle ----------------------------------
