@@ -144,6 +144,12 @@ def emit_csv(args, columns: list[str], rows: list[list]):
     _emit(args, text, f"{args.command} {args.subcommand}: {len(rows)} row(s)")
 
 
+def emit_per_n(args, value):
+    """The CSV of one exact rational value(N) per N of --n."""
+    rows = [[N] + _frac_fields(value(N)) for N in args.n]
+    emit_csv(args, ["N", "numerator", "denominator", "decimal"], rows)
+
+
 def emit_json(args, obj, summary: str | None = None):
     meta = {
         "version": __version__,
@@ -314,30 +320,21 @@ def cmd_measure_trw(args):
     from . import measures
 
     w = parse(args.word, args.rank)
-    rows = []
     if args.mc:
+        rows = []
         for N in args.n:
             mean, err = measures.trw_monte_carlo(w, N, args.samples, args.seed, args.budget)
             rows.append([N, f"{mean:.15g}", f"{err:.15g}"])
         emit_csv(args, ["N", "estimate", "stderr"], rows)
         return
-    for N in args.n:
-        rows.append([N] + _frac_fields(measures.trw_exact(w, N, budget=args.budget)))
-    emit_csv(args, ["N", "numerator", "denominator", "decimal"], rows)
+    emit_per_n(args, lambda N: measures.trw_exact(w, N, budget=args.budget))
 
 
 def cmd_measure_phi(args):
     from . import measures
 
     gens = parse_list(args.gens, args.rank)
-    rows = [
-        [N]
-        + _frac_fields(
-            measures.phi_exact(gens, args.rank, N, budget=args.budget)
-        )
-        for N in args.n
-    ]
-    emit_csv(args, ["N", "numerator", "denominator", "decimal"], rows)
+    emit_per_n(args, lambda N: measures.phi_exact(gens, args.rank, N, budget=args.budget))
 
 
 def _class_label(key, group) -> str:
@@ -429,14 +426,7 @@ def cmd_mobius_via_expansion(args):
 
     H = _graph_from_args(args)
     rank = args.rank or H.ambient_rank
-    rows = [
-        [N]
-        + _frac_fields(
-            mobius.phi_via_expansion(H, rank, N, budget=args.budget)
-        )
-        for N in args.n
-    ]
-    emit_csv(args, ["N", "numerator", "denominator", "decimal"], rows)
+    emit_per_n(args, lambda N: mobius.phi_via_expansion(H, rank, N, budget=args.budget))
 
 
 def cmd_mobius_fit(args):

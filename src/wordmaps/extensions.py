@@ -277,6 +277,11 @@ def pi_iota(H_gens: list[Word], k: int, images: list[Word]) -> tuple[float, int]
     test for an algebraic quotient J of Gamma(iota(H)) holds whether J
     escapes U, the image of F_k, or not; so the quotients inside U are
     dropped before any pair is reduced, and the rest decided as in `pi`.
+
+    Its hypotheses, each a named HypothesisError checked in this order:
+    the images are free (U has rank k), and H lies in no proper free
+    factor of F_k.  `mobius.check_substitution_inequality` leaves both
+    to this function.
     """
     if len(images) != k:
         raise ValueError(f"expected {k} images, got {len(images)}")
@@ -287,8 +292,8 @@ def pi_iota(H_gens: list[Word], k: int, images: list[Word]) -> tuple[float, int]
         raise HypothesisError("images are free", f"rank of image subgroup is {U.rank}")
     if not is_algebraic_in_ambient(H, k):
         raise HypothesisError(
-            "H is algebraic in its ambient free group",
-            "H lies in a proper free factor of F_k",
+            "H lies in no proper free factor of its ambient free group",
+            f"H lies in a proper free factor of F_{k}",
         )
     iota_h = stallings.from_generators(
         [substitute(b.with_rank(k), images) for b in stallings.basis(H)], r

@@ -237,6 +237,8 @@ def within_hom_budget(N: int, r: int, length: int, budget: int) -> bool:
     the budget, so a huge N costs no more than a small one.
     """
     work = max(length, 1)
+    if work > budget:
+        return False
     for _ in range(r):
         for k in range(2, N + 1):
             work *= k
@@ -302,6 +304,18 @@ def trw_exact(w: Word, N: int, budget: int = DEFAULT_BUDGET) -> Fraction:
 # ----------------------------------------------------------------------
 
 
+def _closure(table, elems) -> set[int]:
+    """The elements reached from 0 by right multiplication with elems."""
+    reached, frontier = {0}, [0]
+    for a in frontier:
+        for g in elems:
+            b = table[a][g]
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    return reached
+
+
 @dataclass(frozen=True)
 class FiniteGroupTable:
     """A finite group presented by its full multiplication table.
@@ -343,12 +357,7 @@ class FiniteGroupTable:
         for g in range(n):
             if g not in reached:
                 gens.append(g)
-                frontier = list(reached)
-                for a in frontier:
-                    for b in gens:
-                        if T[a][b] not in reached:
-                            reached.add(T[a][b])
-                            frontier.append(T[a][b])
+                reached = _closure(T, gens)
         for a in range(n):
             Ta = T[a]
             for b in gens:
@@ -466,7 +475,7 @@ def word_measure_exact(
     it.  Its images are tallied over the class-collapsed sweep, each
     weighted by its class size, and then classified.  The generators it
     uses are x_1..x_r, the others integrate out; the identity word needs
-    no sweep.
+    no sweep, but is charged one unit of work on S_N as on a table.
     """
     letters = whitehead_minimal(w).letters
     r = max((g for g, _ in letters), default=0)
@@ -476,8 +485,7 @@ def word_measure_exact(
         label, identity = f"cayley:{group.order}", 0
         image, classify = group.word_image, group.class_of.__getitem__
     else:
-        if r:
-            _check_budget(group, r, len(letters), budget)
+        _check_budget(group, r, len(letters), budget)
         label, identity = f"S{group}", tuple(range(group))
         image, classify = word_image, cycle_type_key
     by_image = Counter() if r else Counter([identity])  # the identity word: no sweep
@@ -533,22 +541,10 @@ def epi_image(w: Word, G: FiniteGroupTable, budget: int = DEFAULT_BUDGET) -> set
     out: set[int] = set()
     for _, elems, invs in class_collapsed_tuples(G, w.ambient_rank):
         img = G.word_image(w.letters, elems, invs)
-        if img not in out and _generates(G, elems):
+        # in a finite group the monoid the elements generate is a subgroup
+        if img not in out and len(_closure(G.table, elems)) == G.order:
             out.update(G.conjugacy_classes[G.class_of[img]])
     return out
-
-
-def _generates(G: FiniteGroupTable, elems: tuple[int, ...]) -> bool:
-    # in a finite group the monoid the elements generate is a subgroup
-    closure, frontier = {0}, [0]
-    while frontier:
-        a = frontier.pop()
-        for g in elems:
-            b = G.table[a][g]
-            if b not in closure:
-                closure.add(b)
-                frontier.append(b)
-    return len(closure) == G.order
 
 
 # ----------------------------------------------------------------------

@@ -427,24 +427,13 @@ def _star_graph(core: list[int], n: int) -> list[list[int]]:
 def _shortening_cut(graph: list[list[int]], a: int) -> "set[int] | None":
     """A minimum cut A of the star graph that holds a but not a^-1, from
     a max-flow, when cap(A) < deg(a); None when every such cut has
-    capacity deg(a), so that no (A, a) shortens the word.  The paths of
-    one or two edges are saturated first, then augmenting paths are
-    found breadth-first."""
+    capacity deg(a), so that no (A, a) shortens the word.  The flow grows
+    by breadth-first augmenting paths; once a^-1 is out of reach, the
+    letters reached from a are the least minimum cut, the same one for
+    every maximum flow."""
     t = a ^ 1
     res = [row[:] for row in graph]
-    ra, rt = res[a], res[t]
-    deg, flow = sum(ra), ra[t]
-    rt[a] += flow
-    ra[t] = 0
-    for v, c in enumerate(ra):
-        rv = res[v]
-        push = min(c, rv[t])
-        if push:
-            ra[v] -= push
-            rv[a] += push
-            rv[t] -= push
-            rt[v] += push
-            flow += push
+    deg, flow = sum(graph[a]), 0
     while flow < deg:
         parent = [-1] * len(graph)
         parent[a] = a

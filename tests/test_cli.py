@@ -73,6 +73,31 @@ def test_budget_zero_refuses_all_work(capsys):
     assert err == "budget exceeded: quotient search passed the budget 0: 0 steps, 0 quotients\n"
 
 
+@pytest.mark.parametrize("word,group", [("1", "S5"), ("[a,b]", "S1"), ("aab", "S1"),
+                                        ("1", "Z3"), ("[a,b]", "Z3")])
+def test_budget_zero_refuses_measure_tables_on_both_kinds_of_group(capsys, tmp_path, word, group):
+    if group == "Z3":
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps({"order": 3, "table": FiniteGroupTable.cyclic(3).table}))
+        group = f"cayley:{path}"
+    argv = ["measure", "table", "--word", word, "--group", group, "--budget"]
+    rc, out, err = run(capsys, *argv, "0")
+    assert (rc, out) == (4, "") and err.startswith("budget exceeded: ")
+    # the identity word and a primitive word cost one unit of work
+    if word in ("1", "aab"):
+        assert run(capsys, *argv, "1")[0] == 0
+
+
+@pytest.mark.parametrize("word,images", [("ab", "a^2,b"), ("[a,b]", "a^2,a^4")])
+def test_pi_iota_and_inequality_name_the_same_hypothesis(capsys, word, images):
+    common = ["--rank", "2", "--images", images, "--image-rank", "2"]
+    pi_iota = run(capsys, "ext", "pi-iota", "--gens", word, *common)
+    inequality = run(capsys, "mobius", "inequality", "--word", word, *common, "--n", "3")
+    assert pi_iota == inequality
+    rc, out, err = pi_iota
+    assert (rc, out) == (3, "") and err.startswith("hypothesis violated: ")
+
+
 def test_parse_group_cayley(tmp_path):
     G = FiniteGroupTable.cyclic(4)
     path = tmp_path / "z4.json"

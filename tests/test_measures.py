@@ -115,6 +115,11 @@ def test_within_hom_budget_is_exact():
     assert not measures.within_hom_budget(3, 2, 4, 143)
     assert measures.within_hom_budget(5, 1, 0, 120)
     assert not measures.within_hom_budget(5, 1, 0, 119)
+    # N = 1 and r = 0 leave only the start value max(L, 1) to compare
+    for N, r, L in itertools.product(range(1, 5), range(3), range(4)):
+        work = math.factorial(N) ** r * max(L, 1)
+        for b in {0, 1, work - 1, work, work + 1}:
+            assert measures.within_hom_budget(N, r, L, b) == (work <= b), (N, r, L, b)
 
 
 # -- phi --------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wordmaps import mobius, stallings
+from wordmaps import extensions, mobius, stallings
 from wordmaps.errors import HypothesisError
 from wordmaps.extensions import INFINITE_RANK
 from wordmaps.measures import phi_exact
@@ -129,6 +129,24 @@ def test_inequality_rejects_non_free_images():
         mobius.check_substitution_inequality(
             parse("[a,b]", 2), [parse("a", 1), parse("a^2", 1)], [3]
         )
+
+
+def test_inequality_decides_the_word_hypothesis_once(monkeypatch):
+    calls = []
+    decide = extensions.is_algebraic_in_ambient
+
+    def counted(H, k):
+        calls.append(k)
+        return decide(H, k)
+
+    monkeypatch.setattr(extensions, "is_algebraic_in_ambient", counted)
+    images = [parse("a^2", 2), parse("b", 2)]
+    mobius.check_substitution_inequality(parse("[a,b]", 2), images, [3])
+    assert calls == [2]
+    calls.clear()
+    with pytest.raises(HypothesisError):
+        mobius.check_substitution_inequality(parse("ab", 2), images, [3])
+    assert calls == [2]
 
 
 # -- power gap --------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import time
 
@@ -254,6 +255,32 @@ def test_minimal_length_matches_the_move_descent():
         assert m == _cyclic_core(m)
         checked += 1
     assert checked >= 300
+
+
+def test_shortening_cut_is_the_least_minimum_cut():
+    # every A with a in A and a^-1 not in A, by brute force on <= 6 letters
+    rng = random.Random(19080301)
+    cuts = 0
+    for rank in (2, 3):
+        for _ in range(120):
+            w = random_cyclic_word(rng, rank, rng.randint(1, 12))
+            core = word_module._compact([word_module._CODES[x] for x in w.letters])
+            n = 2 * len({x >> 1 for x in core})
+            graph = word_module._star_graph(core, n)
+            cap = lambda A: sum(graph[x][y] for x in A for y in range(n) if y not in A)  # noqa: E731
+            for a in range(n):
+                others = [v for v in range(n) if v >> 1 != a >> 1]
+                sides = [{a, *chosen} for k in range(len(others) + 1)
+                         for chosen in itertools.combinations(others, k)]
+                least = min(map(cap, sides))
+                A = word_module._shortening_cut(graph, a)
+                if least == sum(graph[a]):
+                    assert A is None, (str(w), a)
+                    continue
+                assert A is not None and cap(A) == least, (str(w), a)
+                assert all(A <= B for B in sides if cap(B) == least), (str(w), a)
+                cuts += 1
+    assert cuts >= 100
 
 
 def _star_cut(core, A):
