@@ -22,7 +22,8 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import __version__
+import wordmaps
+
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -32,8 +33,9 @@ from .errors import (
 )
 from .words import cyclic_reduce, maximal_root, parse, parse_list, parse_lists, substitute
 
-# Each cmd_* imports the library modules it calls, so that a command
-# loads only what it uses; the names below serve annotations only.
+# The computing modules are reached as attributes of the package
+# (`wordmaps.measures`, ...), which imports each on first use, so that a
+# command loads only what it calls; the names below serve annotations only.
 if TYPE_CHECKING:
     from collections.abc import Callable
     from fractions import Fraction
@@ -82,15 +84,13 @@ def parse_group(text: str):
             raise ValueError(f"symmetric group degree must be positive in {text!r}")
         return n
     if text.startswith("cayley:"):
-        from .measures import FiniteGroupTable
-
         path = text[len("cayley:") :]
         try:
             with open(path) as fh:
                 data = json.load(fh)
         except OSError as e:
             raise ValueError(f"cannot read Cayley table {path!r}: {e.strerror}") from None
-        return FiniteGroupTable.from_json_dict(data)
+        return wordmaps.measures.FiniteGroupTable.from_json_dict(data)
     raise ValueError(f"unrecognized group specifier {text!r}")
 
 
@@ -133,7 +133,7 @@ def _emit(args, text: str, summary: str):
 
 def emit_csv(args, columns: list[str], rows: list[list]):
     lines = [
-        f"# version={__version__}",
+        f"# version={wordmaps.__version__}",
         f"# command={args.command} {args.subcommand}",
         f"# config={_config_echo(args)}",
         f"# seed={getattr(args, 'seed', None)}",
@@ -152,7 +152,7 @@ def emit_per_n(args, value):
 
 def emit_json(args, obj, summary: str | None = None):
     meta = {
-        "version": __version__,
+        "version": wordmaps.__version__,
         "command": f"{args.command} {args.subcommand}",
         "config": _config_echo(args),
         "seed": getattr(args, "seed", None),
@@ -212,19 +212,15 @@ def cmd_word_substitute(args):
 
 
 def _graph_from_args(args) -> CoreGraph:
-    from . import stallings
-
     gens = parse_list(args.gens, args.rank)
     rank = args.rank or max(g.ambient_rank for g in gens)
-    return stallings.from_generators([g.with_rank(rank) for g in gens], rank)
+    return wordmaps.stallings.from_generators([g.with_rank(rank) for g in gens], rank)
 
 
 def cmd_graph_fold(args):
-    from . import stallings
-
     g = _graph_from_args(args)
     if args.format == "dot":
-        emit_dot(args, stallings.to_dot(g))
+        emit_dot(args, wordmaps.stallings.to_dot(g))
         return
     emit_json(
         args,
@@ -232,16 +228,14 @@ def cmd_graph_fold(args):
             "vertices": g.num_vertices,
             "edges": sorted(g.edges),
             "rank": g.rank,
-            "basis": [str(b) for b in stallings.basis(g)],
+            "basis": [str(b) for b in wordmaps.stallings.basis(g)],
         },
         f"core graph: {g.num_vertices} vertices, {len(g.edges)} edges, rank {g.rank}",
     )
 
 
 def cmd_graph_export(args):
-    from . import stallings
-
-    emit_dot(args, stallings.to_dot(_graph_from_args(args)))
+    emit_dot(args, wordmaps.stallings.to_dot(_graph_from_args(args)))
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +244,7 @@ def cmd_graph_export(args):
 
 
 def cmd_ext_ae(args):
-    from . import extensions
-
-    poset = extensions.algebraic_extensions(_graph_from_args(args))
+    poset = wordmaps.extensions.algebraic_extensions(_graph_from_args(args))
     if args.format == "dot":
         emit_dot(args, poset.to_dot())
         return
@@ -265,28 +257,24 @@ def cmd_ext_ae(args):
 
 
 def cmd_ext_pi(args):
-    from . import extensions, stallings
-
     w = parse(args.word, args.rank)
-    H = stallings.from_generators([w], w.ambient_rank)
-    value, count, winners = extensions.pi_details(H)
+    H = wordmaps.stallings.from_generators([w], w.ambient_rank)
+    value, count, winners = wordmaps.extensions.pi_details(H)
     emit_json(
         args,
         {
             "pi": _pi_json(value),
             "C": count,
-            "extensions": [[str(b) for b in stallings.basis(g)] for g in winners],
+            "extensions": [[str(b) for b in wordmaps.stallings.basis(g)] for g in winners],
         },
         f"pi = {_pi_json(value)}, C = {count}",
     )
 
 
 def cmd_ext_pi_iota(args):
-    from . import extensions
-
     gens = parse_list(args.gens, args.rank)
     images = parse_list(args.images, args.image_rank)
-    value, count = extensions.pi_iota(gens, args.rank, images)
+    value, count = wordmaps.extensions.pi_iota(gens, args.rank, images)
     emit_json(
         args,
         {"pi_iota": _pi_json(value), "C": count},
@@ -295,14 +283,13 @@ def cmd_ext_pi_iota(args):
 
 
 def cmd_ext_ff_closure(args):
-    from . import extensions, stallings
-
     texts = [args.gens, args.in_gens] if args.in_gens else [args.gens]
     H_gens, *J_gens = parse_lists(texts, args.rank)
     rank = H_gens[0].ambient_rank
+    stallings = wordmaps.stallings
     H = stallings.from_generators(H_gens, rank)
     J = stallings.from_generators(J_gens[0], rank) if J_gens else stallings.rose(rank)
-    A = extensions.ff_closure(H, J)
+    A = wordmaps.extensions.ff_closure(H, J)
     basis = [str(b) for b in stallings.basis(A)]
     emit_json(
         args,
@@ -317,43 +304,36 @@ def cmd_ext_ff_closure(args):
 
 
 def cmd_measure_trw(args):
-    from . import measures
-
     w = parse(args.word, args.rank)
     if args.mc:
         rows = []
         for N in args.n:
-            mean, err = measures.trw_monte_carlo(w, N, args.samples, args.seed, args.budget)
+            mean, err = wordmaps.measures.trw_monte_carlo(
+                w, N, args.samples, args.seed, args.budget
+            )
             rows.append([N, f"{mean:.15g}", f"{err:.15g}"])
         emit_csv(args, ["N", "estimate", "stderr"], rows)
         return
-    emit_per_n(args, lambda N: measures.trw_exact(w, N, budget=args.budget))
+    emit_per_n(args, lambda N: wordmaps.measures.trw_exact(w, N, budget=args.budget))
 
 
 def cmd_measure_phi(args):
-    from . import measures
-
     gens = parse_list(args.gens, args.rank)
-    emit_per_n(args, lambda N: measures.phi_exact(gens, args.rank, N, budget=args.budget))
+    emit_per_n(args, lambda N: wordmaps.measures.phi_exact(gens, args.rank, N, budget=args.budget))
 
 
 def _class_label(key, group) -> str:
+    """An S_N key is a cycle type; a Cayley table's is a class index,
+    labelled by the name of the class's least element."""
     if isinstance(key, tuple):
         return " ".join(str(t) for t in key)
-    from .measures import FiniteGroupTable
-
-    if isinstance(group, FiniteGroupTable):
-        rep = group.conjugacy_classes[key][0]
-        return group.name_of(rep)
-    return str(key)
+    return group.name_of(group.conjugacy_classes[key][0])
 
 
 def cmd_measure_table(args):
-    from . import measures
-
     w = parse(args.word, args.rank)
     group = parse_group(args.group)
-    table = measures.word_measure_exact(w, group, budget=args.budget)
+    table = wordmaps.measures.word_measure_exact(w, group, budget=args.budget)
     rows = [
         [f'"{_class_label(key, group)}"'] + _frac_fields(p)
         for key, p in table.support
@@ -362,12 +342,10 @@ def cmd_measure_table(args):
 
 
 def cmd_measure_compare(args):
-    from . import measures
-
     w1 = parse(args.w1, args.rank)
     w2 = parse(args.w2, args.rank)
     group = parse_group(args.group)
-    cmp = measures.compare_measures(w1, w2, group, budget=args.budget)
+    cmp = wordmaps.measures.compare_measures(w1, w2, group, budget=args.budget)
     obj = {"equal": cmp.equal}
     if not cmp.equal:
         obj |= {
@@ -379,13 +357,11 @@ def cmd_measure_compare(args):
 
 
 def cmd_measure_epiim(args):
-    from . import measures
-
     w = parse(args.word, args.rank)
     group = parse_group(args.group)
-    if not isinstance(group, measures.FiniteGroupTable):
+    if not isinstance(group, wordmaps.measures.FiniteGroupTable):
         raise ValueError("epiim requires a cayley:<path> group")
-    image = sorted(measures.epi_image(w, group, budget=args.budget))
+    image = sorted(wordmaps.measures.epi_image(w, group, budget=args.budget))
     emit_json(
         args,
         {"image": [group.name_of(a) for a in image], "count": len(image)},
@@ -399,16 +375,14 @@ def cmd_measure_epiim(args):
 
 
 def cmd_mobius_derive(args):
-    from . import mobius, stallings
-
     if len(args.n) != 1:
         raise ValueError("mobius derive takes a single N, not a range")
     H = _graph_from_args(args)
-    table = mobius.derive_R(H, args.n[0], budget=args.budget)
+    table = wordmaps.mobius.derive_R(H, args.n[0], budget=args.budget)
     rows = []
     for i in sorted(table.values):
         g = table.poset.nodes[i]
-        basis = ".".join(str(b) for b in stallings.basis(g)) or "1"
+        basis = ".".join(str(b) for b in wordmaps.stallings.basis(g)) or "1"
         rows.append(
             [f'"{basis}"', g.rank]
             + _frac_fields(table.phi[i])
@@ -422,18 +396,14 @@ def cmd_mobius_derive(args):
 
 
 def cmd_mobius_via_expansion(args):
-    from . import mobius
-
     H = _graph_from_args(args)
     rank = args.rank or H.ambient_rank
-    emit_per_n(args, lambda N: mobius.phi_via_expansion(H, rank, N, budget=args.budget))
+    emit_per_n(args, lambda N: wordmaps.mobius.phi_via_expansion(H, rank, N, budget=args.budget))
 
 
 def cmd_mobius_fit(args):
-    from . import mobius
-
     w = parse(args.word, args.rank)
-    fit = mobius.fit_expansion(w, args.n, budget=args.budget)
+    fit = wordmaps.mobius.fit_expansion(w, args.n, budget=args.budget)
     emit_json(
         args,
         {
@@ -449,11 +419,9 @@ def cmd_mobius_fit(args):
 
 
 def cmd_mobius_inequality(args):
-    from . import mobius
-
     w = parse(args.word, args.rank)
     images = parse_list(args.images, args.image_rank)
-    report = mobius.check_substitution_inequality(w, images, args.n, budget=args.budget)
+    report = wordmaps.mobius.check_substitution_inequality(w, images, args.n, budget=args.budget)
     if args.format == "json":
         emit_json(
             args,
@@ -478,10 +446,8 @@ def cmd_mobius_inequality(args):
 
 
 def cmd_mobius_power_gap(args):
-    from . import mobius
-
     u = parse(args.word, args.rank)
-    report = mobius.check_power_gap(u, args.d, args.n, budget=args.budget)
+    report = wordmaps.mobius.check_power_gap(u, args.d, args.n, budget=args.budget)
     rows = [
         [r.N, r.gap.numerator, r.gap.denominator, report.delta - 1,
          r.deviation.numerator, r.deviation.denominator]
@@ -500,10 +466,8 @@ def cmd_mobius_power_gap(args):
 
 
 def cmd_perm_cycle_type(args):
-    from . import perm_powers
-
-    p = perm_powers.parse_cycles(args.perm, args.degree)
-    ct = perm_powers.cycle_type(p)
+    p = wordmaps.perm_powers.parse_cycles(args.perm, args.degree)
+    ct = wordmaps.perm_powers.cycle_type(p)
     emit_json(
         args,
         {"degree": ct.degree, "cycle_type": str(ct)},
@@ -512,31 +476,25 @@ def cmd_perm_cycle_type(args):
 
 
 def cmd_perm_is_power(args):
-    from . import perm_powers
-
-    p = perm_powers.parse_cycles(args.perm, args.degree)
-    ok = perm_powers.is_dth_power(p, args.d)
+    p = wordmaps.perm_powers.parse_cycles(args.perm, args.degree)
+    ok = wordmaps.perm_powers.is_dth_power(p, args.d)
     emit_json(args, {"is_power": ok}, f"is a {args.d}th power: {ok}")
 
 
 def cmd_perm_root(args):
-    from . import perm_powers
-
-    p = perm_powers.parse_cycles(args.perm, args.degree)
-    root = perm_powers.dth_root(p, args.d)
+    p = wordmaps.perm_powers.parse_cycles(args.perm, args.degree)
+    root = wordmaps.perm_powers.dth_root(p, args.d)
     emit_json(
         args,
-        {"root": perm_powers.format_cycles(root) if root is not None else None},
-        "no root" if root is None else f"root: {perm_powers.format_cycles(root)}",
+        {"root": wordmaps.perm_powers.format_cycles(root) if root is not None else None},
+        "no root" if root is None else f"root: {wordmaps.perm_powers.format_cycles(root)}",
     )
 
 
 def cmd_perm_moments(args):
-    from . import perm_powers
-
     rows = []
     for N in args.n:
-        first, second = perm_powers.moments_exact(args.b, args.t, N)
+        first, second = wordmaps.perm_powers.moments_exact(args.b, args.t, N)
         rows.append([N] + _frac_fields(first) + _frac_fields(second))
     emit_csv(
         args,
@@ -546,17 +504,15 @@ def cmd_perm_moments(args):
 
 
 def cmd_perm_obstruction(args):
-    from . import perm_powers
-
     w = parse(args.word, args.rank)
-    verdict = perm_powers.word_power_obstruction(
+    verdict = wordmaps.perm_powers.word_power_obstruction(
         w, args.d, args.n, sample_budget=args.sample_budget, seed=args.seed
     )
     obj = {
         "word": verdict.word,
         "d": verdict.d,
         "witness_degree": verdict.witness_degree,
-        "witness": [perm_powers.format_cycles(p) for p in verdict.witness_tuple]
+        "witness": [wordmaps.perm_powers.format_cycles(p) for p in verdict.witness_tuple]
         if verdict.witness_tuple
         else None,
         "is_power_in_free_group": verdict.is_power_in_free_group,
@@ -710,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact word measures on symmetric and finite groups, "
         "algebraic-extension posets, and the d-th power calculus of permutations.",
     )
-    ap.add_argument("--version", action="version", version=__version__)
+    ap.add_argument("--version", action="version", version=wordmaps.__version__)
     top = ap.add_subparsers(dest="command", required=True)
     groups = {
         name: top.add_parser(name, help=text).add_subparsers(dest="subcommand", required=True)

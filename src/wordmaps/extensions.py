@@ -133,7 +133,6 @@ class ExtensionPoset:
     keys of `ff_marks` are the strict inclusions (i, j), nodes[i] < nodes[j],
     and each value says whether nodes[i] is a free factor of nodes[j]."""
 
-    base: CoreGraph
     nodes: list[CoreGraph]
     base_index: int
     ff_marks: dict[tuple[int, int], bool]
@@ -141,14 +140,6 @@ class ExtensionPoset:
 
     def algebraic_indices(self) -> list[int]:
         return [i for i, m in enumerate(self.alg_marks) if m]
-
-    def algebraic_nodes(self) -> list[CoreGraph]:
-        return [self.nodes[i] for i in self.algebraic_indices()]
-
-    def proper_algebraic_nodes(self) -> list[CoreGraph]:
-        return [
-            self.nodes[i] for i in self.algebraic_indices() if i != self.base_index
-        ]
 
     def to_json(self) -> str:
         nodes = []
@@ -208,7 +199,7 @@ def algebraic_extensions(H: CoreGraph) -> ExtensionPoset:
     ff_marks = dict(zip(maps, marks))
     has_proper_ff = {j for (_, j), ff in ff_marks.items() if ff}
     alg_marks = [j not in has_proper_ff for j in range(len(nodes))]
-    return ExtensionPoset(H, nodes, base_index, ff_marks, alg_marks)
+    return ExtensionPoset(nodes, base_index, ff_marks, alg_marks)
 
 
 def _least_rank(candidates, pairs_of, wins) -> tuple[float, list[CoreGraph]]:

@@ -29,11 +29,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+
+import wordmaps
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .words import Word, whitehead_minimal
@@ -230,29 +233,33 @@ def evaluate_word(w: Word, perms: list[Perm]) -> Perm:
     return word_image(w.letters, perms, [invert(p) for p in perms])
 
 
-def within_hom_budget(N: int, r: int, length: int, budget: int) -> bool:
-    """Whether (N!)^r x max(length, 1) <= budget.
-
-    The product is built factor by factor and abandoned once it passes
-    the budget, so a huge N costs no more than a small one.
-    """
-    work = max(length, 1)
-    if work > budget:
-        return False
-    for _ in range(r):
-        for k in range(2, N + 1):
-            work *= k
-            if work > budget:
-                return False
-    return True
+def _within_budget(budget: int, factors) -> bool:
+    """Whether the product of `factors` (each >= 1) is at most budget.  The
+    partial products stop at the first that passes it, so N! entering as
+    2..N costs no more for a huge N than for a small one."""
+    return all(work <= budget for work in itertools.accumulate(factors, operator.mul))
 
 
-def _check_budget(N: int, r: int, word_len: int, budget: int):
-    if not within_hom_budget(N, r, word_len, budget):
-        raise BudgetExceededError(
-            f"(N!)^r x length exceeds the budget {budget} "
-            f"(N={N}, r={r}, length={word_len})"
-        )
+def _refuse(charge: str, budget: int, figures: dict):
+    """Raise the budget error that names what was charged, and its figures."""
+    shown = ", ".join(f"{name}={value}" for name, value in figures.items())
+    raise BudgetExceededError(f"{charge} exceeds the budget {budget} ({shown})")
+
+
+def within_hom_budget(group: "int | FiniteGroupTable", r: int, length: int, budget: int) -> bool:
+    """Whether a sweep of Hom(F_r, G) evaluating a word of this length,
+    |G|^r x max(length, 1), is within budget; `group` is an S_N degree
+    N, with |G| = N!, or a Cayley table."""
+    per_copy = (group.order,) if isinstance(group, FiniteGroupTable) else range(2, group + 1)
+    return _within_budget(budget, itertools.chain([max(length, 1)], *[per_copy] * r))
+
+
+def _check_hom_budget(what: str, group, r: int, length: int, budget: int):
+    """Refuse the sweep `what` unless `within_hom_budget`."""
+    if not within_hom_budget(group, r, length, budget):
+        order = group.order if isinstance(group, FiniteGroupTable) else f"{group}!"
+        _refuse(f"{what} |G|^r x max(length, 1)", budget,
+                {"|G|": order, "r": r, "max(length, 1)": max(length, 1)})
 
 
 # ----------------------------------------------------------------------
@@ -280,15 +287,14 @@ def phi_exact(
     with v(J) <= N vertices and e_j(J) j-edges (Puder-Parzanchevski),
     as integers over prod_j (N)_c_j with c_j = min(e_j(Gamma(H)), N):
     the cost does not depend on N.  `budget` caps the search steps."""
-    # imported here so that the permutation code, which needs only the
-    # Hom sweep of this module, does not load the core-graph layer
-    from .stallings import from_generators, quotient_graphs
-
+    # the core-graph layer is reached through the package, which loads it
+    # on first use: the permutation code needs only this module's Hom sweep
+    stallings = wordmaps.stallings
     del ambient_rank  # unused coordinates average out exactly
-    H = from_generators(H_gens, max((g.ambient_rank for g in H_gens), default=1))
+    H = stallings.from_generators(H_gens, max((g.ambient_rank for g in H_gens), default=1))
     c = {j: min(k, N) for j, k in Counter(lab for _, lab, _ in H.edges).items()}
     numer = 0  # (N)_c / (N)_e = (N - e)_(c - e), as e_j(J) <= c_j
-    for v, edges in quotient_graphs(H, N, budget):
+    for v, edges in stallings.quotient_graphs(H, N, budget):
         e = Counter(lab for _, lab, _ in edges)
         numer += math.perm(N, v) * math.prod(math.perm(N - e[j], c[j] - e[j]) for j in c)
     return Fraction(numer, math.prod(math.perm(N, k) for k in c.values()))
@@ -479,13 +485,11 @@ def word_measure_exact(
     """
     letters = whitehead_minimal(w).letters
     r = max((g for g, _ in letters), default=0)
+    _check_hom_budget("Hom sweep", group, r, len(letters), budget)
     if isinstance(group, FiniteGroupTable):
-        if group.order**r * max(len(letters), 1) > budget:
-            raise BudgetExceededError("Cayley enumeration exceeds the budget")
         label, identity = f"cayley:{group.order}", 0
         image, classify = group.word_image, group.class_of.__getitem__
     else:
-        _check_budget(group, r, len(letters), budget)
         label, identity = f"S{group}", tuple(range(group))
         image, classify = word_image, cycle_type_key
     by_image = Counter() if r else Counter([identity])  # the identity word: no sweep
@@ -536,8 +540,7 @@ def epi_image(w: Word, G: FiniteGroupTable, budget: int = DEFAULT_BUDGET) -> set
     generating tuple contributes the whole conjugacy class of its image.
     The sweep is costed as |G|^r x max(length, 1), as on a Cayley table.
     """
-    if G.order**w.ambient_rank * max(len(w), 1) > budget:
-        raise BudgetExceededError("epimorphism enumeration exceeds the budget")
+    _check_hom_budget("epimorphism enumeration", G, w.ambient_rank, len(w), budget)
     out: set[int] = set()
     for _, elems, invs in class_collapsed_tuples(G, w.ambient_rank):
         img = G.word_image(w.letters, elems, invs)
@@ -579,11 +582,10 @@ def trw_monte_carlo(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if samples * max(len(w), 1) * N > budget:
-        raise BudgetExceededError(
-            f"samples x length x N exceeds the budget {budget} "
-            f"(samples={samples}, length={len(w)}, N={N})"
-        )
+    length = max(len(w), 1)
+    if not _within_budget(budget, (samples, length, N)):
+        _refuse("samples x max(length, 1) x N", budget,
+                {"samples": samples, "max(length, 1)": length, "N": N})
     letters, r = _effective_letters(w)
     rng = random.Random(f"{seed}/0")
     total = total_sq = 0

@@ -24,9 +24,7 @@ from .words import Word, maximal_root, substitute
 
 @dataclass
 class DerivationTable:
-    base: CoreGraph
     poset: ExtensionPoset
-    N: int
     values: dict[int, Fraction]  # poset node index -> R_{H,node}(N)
     phi: dict[int, Fraction]  # poset node index -> Phi_{H,node}(N)
 
@@ -47,7 +45,7 @@ def derive_R(H: CoreGraph, N: int, budget: int = DEFAULT_BUDGET) -> DerivationTa
     for j in sorted(alg, key=lambda j: len(below[j])):
         phis[j] = _phi_of_node(H, poset.nodes[j], N, budget)
         values[j] = phis[j] - sum((values[i] for i in below[j]), Fraction(0))
-    return DerivationTable(H, poset, N, values, phis)
+    return DerivationTable(poset, values, phis)
 
 
 def phi_via_expansion(

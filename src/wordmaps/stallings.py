@@ -191,17 +191,24 @@ def rose(ambient_rank: int) -> CoreGraph:
 # ----------------------------------------------------------------------
 
 
+def _walk(J: CoreGraph, w: Word) -> list[tuple[Edge, int]] | None:
+    """The edges of Gamma(J) that w crosses from the base, in order, each
+    with the sign of its letter; None unless w traces a loop at the base."""
+    cur, crossed = 0, []
+    for g, s in w.letters:
+        nxt = (J.out_map if s == 1 else J.in_map).get((cur, g))
+        if nxt is None:
+            return None
+        crossed.append(((cur, g, nxt) if s == 1 else (nxt, g, cur), s))
+        cur = nxt
+    return crossed if cur == 0 else None
+
+
 def contains(H: CoreGraph, w: Word) -> bool:
     """Membership: w traces a loop at the base of Gamma(H)."""
     if w.ambient_rank > H.ambient_rank:
         raise ValueError("word rank exceeds graph rank")
-    cur = 0
-    for g, s in w.letters:
-        nxt = H.out_map.get((cur, g)) if s == 1 else H.in_map.get((cur, g))
-        if nxt is None:
-            return False
-        cur = nxt
-    return cur == 0
+    return _walk(H, w) is not None
 
 
 def morphism(H: CoreGraph, J: CoreGraph) -> list[int] | None:
@@ -282,29 +289,12 @@ def rewrite_in_basis(J: CoreGraph, w: Word) -> Word:
     The result lives in F_k with k = rank(J); tracing the loop of w in
     Gamma(J) and emitting one letter per non-tree edge crossed.
     """
-    edge_index = {e: i for i, e in enumerate(_tree(J)[1])}
-    k = max(J.rank, 1)
-    cur = 0
-    out: list[Letter] = []
-    for g, s in w.letters:
-        if s == 1:
-            nxt = J.out_map.get((cur, g))
-            if nxt is None:
-                raise ValueError("word is not an element of the subgroup")
-            e = (cur, g, nxt)
-            if e in edge_index:
-                out.append((edge_index[e] + 1, 1))
-        else:
-            nxt = J.in_map.get((cur, g))
-            if nxt is None:
-                raise ValueError("word is not an element of the subgroup")
-            e = (nxt, g, cur)
-            if e in edge_index:
-                out.append((edge_index[e] + 1, -1))
-        cur = nxt
-    if cur != 0:
+    crossed = _walk(J, w)
+    if crossed is None:
         raise ValueError("word is not an element of the subgroup")
-    return Word(k, free_reduce(out))
+    edge_index = {e: i + 1 for i, e in enumerate(_tree(J)[1])}
+    out = [(edge_index[e], s) for e, s in crossed if e in edge_index]
+    return Word(max(J.rank, 1), free_reduce(out))
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_criterion_06_expansion_fit(capfd):
     fit = mobius.fit_expansion(parse("[x,y]"), [4, 5, 6, 7])
     poset = extensions.algebraic_extensions(graph(["[a,b]"], 2))
     ae = sorted(
-        tuple(str(b) for b in stallings.basis(g)) for g in poset.algebraic_nodes()
+        tuple(str(b) for b in stallings.basis(poset.nodes[i])) for i in poset.algebraic_indices()
     )
     ok = (
         fit.pi_estimate == 2

@@ -481,8 +481,8 @@ def test_mc_budget_exit_code(capsys):
     assert run(capsys, *argv, "--budget", "400000")[0] == 0
     rc, out, err = run(capsys, *argv, "--budget", "399999")
     assert (rc, out) == (4, "")
-    assert err == ("budget exceeded: samples x length x N exceeds the budget 399999 "
-                   "(samples=20000, length=4, N=5)\n")
+    assert err == ("budget exceeded: samples x max(length, 1) x N exceeds the budget 399999 "
+                   "(samples=20000, max(length, 1)=4, N=5)\n")
 
 
 def test_primitive_word_table_is_costed_on_one_letter(capsys):

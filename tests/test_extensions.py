@@ -28,7 +28,7 @@ def ae_bases(gens, rank):
     H = graph(gens, rank)
     poset = extensions.algebraic_extensions(H)
     return sorted(
-        tuple(str(b) for b in stallings.basis(g)) for g in poset.algebraic_nodes()
+        tuple(str(b) for b in stallings.basis(poset.nodes[i])) for i in poset.algebraic_indices()
     )
 
 
@@ -303,7 +303,7 @@ def test_ae_of_index_two_subgroup():
 def test_ae_of_primitive_is_trivial():
     H = graph(["a"], 2)
     poset = extensions.algebraic_extensions(H)
-    assert poset.proper_algebraic_nodes() == []
+    assert poset.algebraic_indices() == [poset.base_index]
 
 
 # -- primitivity rank -------------------------------------------------
@@ -356,7 +356,8 @@ def pi_details_oracle(H):
     least rank, in node order."""
     if H.rank == 0:
         return 0, 1, [H]
-    proper = extensions.algebraic_extensions(H).proper_algebraic_nodes()
+    poset = extensions.algebraic_extensions(H)
+    proper = [poset.nodes[i] for i in poset.algebraic_indices() if i != poset.base_index]
     if not proper:
         return INFINITE_RANK, 0, []
     m = min(g.rank for g in proper)
@@ -413,7 +414,8 @@ def pi_iota_oracle(H_gens, k, images):
     U = from_generators([im.with_rank(r) for im in images], r)
     iota_h = from_generators([substitute(b.with_rank(k), images) for b in stallings.basis(H)], r)
     poset = extensions.algebraic_extensions(iota_h)
-    escaping = [g for g in poset.algebraic_nodes() if not stallings.subgroup_leq(g, U)]
+    alg = [poset.nodes[i] for i in poset.algebraic_indices()]
+    escaping = [g for g in alg if not stallings.subgroup_leq(g, U)]
     if not escaping:
         return INFINITE_RANK, 0
     m = min(g.rank for g in escaping)

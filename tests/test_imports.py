@@ -5,6 +5,7 @@ In-process tests share one interpreter, so a module that some earlier
 test imported hides a missing import in a command.  These tests start
 `python` anew for each case.
 """
+import ast
 import json
 import os
 import subprocess
@@ -83,7 +84,7 @@ def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
-def loaded_by_cli(*argv: str) -> set[str]:
+def loaded_by_cli(*argv: str, cwd=None) -> set[str]:
     """wordmaps modules loaded by `python -m wordmaps.cli ARGV`, as they
     stand when the interpreter exits."""
     script = (
@@ -91,7 +92,7 @@ def loaded_by_cli(*argv: str) -> set[str]:
         "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(sys.modules)))); "
         "runpy.run_module('wordmaps.cli', run_name='__main__', alter_sys=True)"
     )
-    proc = python("-c", script, *argv)
+    proc = python("-c", script, *argv, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return {m for m in json.loads(proc.stderr) if m.startswith("wordmaps.")}
 
@@ -107,6 +108,45 @@ def test_import_wordmaps_loads_only_errors():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["wordmaps", "wordmaps.errors"]
+
+
+def test_import_wordmaps_cli_loads_only_errors_and_words():
+    proc = python(
+        "-c",
+        "import json, sys, wordmaps.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('wordmaps'))))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["wordmaps", "wordmaps.cli", "wordmaps.errors",
+                                       "wordmaps.words"]
+
+
+def function_local_imports(path: Path) -> list[str]:
+    """"file:line" of each import statement inside a function body, other
+    than in an `if TYPE_CHECKING:` block."""
+    tree = ast.parse(path.read_text())
+    allowed = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test).endswith("TYPE_CHECKING")
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    return sorted({
+        f"{path.name}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in allowed
+    })
+
+
+def test_no_function_local_imports():
+    # a submodule is reached through the package (`wordmaps.measures`),
+    # whose __getattr__ imports it on first use: the one lazy path
+    files = sorted((SRC / "wordmaps").glob("*.py"))
+    assert len(files) > 5
+    assert [hit for path in files for hit in function_local_imports(path)] == []
 
 
 def test_word_root_loads_no_computing_module():
@@ -205,15 +245,45 @@ def test_every_subcommand_has_a_fresh_process_case():
     assert listed == set(SUBCOMMANDS)
 
 
+# The wordmaps.* modules each case of SUBCOMMANDS loads, besides
+# `wordmaps`, `wordmaps.errors` and `wordmaps.words`.
+LOADS = {
+    ("word", "parse"): "",
+    ("word", "reduce"): "",
+    ("word", "root"): "",
+    ("word", "substitute"): "",
+    ("graph", "fold"): "stallings",
+    ("graph", "export"): "stallings",
+    ("ext", "ae"): "stallings extensions",
+    ("ext", "pi"): "stallings extensions",
+    ("ext", "pi-iota"): "stallings extensions",
+    ("ext", "ff-closure"): "stallings extensions",
+    ("measure", "trw"): "measures stallings",
+    ("measure", "phi"): "measures stallings",
+    ("measure", "table"): "measures",
+    ("measure", "compare"): "measures",
+    ("measure", "epiim"): "measures",
+    ("mobius", "derive"): "stallings extensions measures mobius",
+    ("mobius", "via-expansion"): "stallings extensions measures mobius",
+    ("mobius", "fit"): "stallings extensions measures mobius",
+    ("mobius", "inequality"): "stallings extensions measures mobius",
+    ("mobius", "power-gap"): "stallings extensions measures mobius",
+    ("perm", "cycle-type"): "measures perm_powers",
+    ("perm", "is-power"): "measures perm_powers",
+    ("perm", "root"): "measures perm_powers",
+    ("perm", "moments"): "measures perm_powers",
+    ("perm", "obstruction"): "measures perm_powers",
+}
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS), ids="-".join)
 def test_subcommand_runs_in_a_fresh_process(tmp_path, command):
+    # it writes its artifact and loads exactly the modules LOADS lists
     (tmp_path / "z3.json").write_text(json.dumps(CAYLEY_Z3))
-    proc = python(
-        "-m", "wordmaps.cli", *command, *SUBCOMMANDS[command], "--out", "artifact",
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
+    loaded = loaded_by_cli(*command, *SUBCOMMANDS[command], "--out", "artifact", cwd=tmp_path)
     assert (tmp_path / "artifact").read_text().strip()
+    want = {"errors", "words", *LOADS[command].split()}
+    assert loaded == {f"wordmaps.{m}" for m in want}
 
 
 @pytest.mark.parametrize("group", [None, "word", "graph", "ext", "measure", "mobius", "perm"])

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -115,6 +116,9 @@ def test_within_hom_budget_is_exact():
     assert not measures.within_hom_budget(3, 2, 4, 143)
     assert measures.within_hom_budget(5, 1, 0, 120)
     assert not measures.within_hom_budget(5, 1, 0, 119)
+    # a Cayley table enters as its order: 3^2 x 4 = 36
+    assert measures.within_hom_budget(FiniteGroupTable.cyclic(3), 2, 4, 36)
+    assert not measures.within_hom_budget(FiniteGroupTable.cyclic(3), 2, 4, 35)
     # N = 1 and r = 0 leave only the start value max(L, 1) to compare
     for N, r, L in itertools.product(range(1, 5), range(3), range(4)):
         work = math.factorial(N) ** r * max(L, 1)
@@ -556,13 +560,53 @@ def test_mc_budget_is_checked_before_the_first_sample(monkeypatch):
 
     monkeypatch.setattr(measures, "random_tuple", refuse)
     # 20,000 samples x length 4 x N = 5
-    with pytest.raises(BudgetExceededError, match=r"samples=20000, length=4, N=5\)"):
+    with pytest.raises(BudgetExceededError, match=r"samples=20000, max\(length, 1\)=4, N=5\)"):
         trw_monte_carlo(parse("[a,b]"), 5, 20000, seed=1, budget=399_999)
     # each sample shuffles N points: two samples at N = 200,000 cost 1.6M
-    with pytest.raises(BudgetExceededError, match=r"length x N exceeds the budget 8 "):
+    with pytest.raises(BudgetExceededError, match=r"max\(length, 1\) x N exceeds the budget 8 "):
         trw_monte_carlo(parse("[a,b]"), 200_000, 2, seed=1, budget=8)
     monkeypatch.undo()
     assert trw_monte_carlo(parse("[a,b]"), 5, 20000, seed=1, budget=400_000)
+
+
+def charged(message: str) -> int:
+    """The product that a budget message names, evaluated on the figures it
+    prints: "what A x B^r exceeds the budget b (A=.., B=.., r=..)", where a
+    figure "k!" stands for k factorial."""
+    formula, rest = message.split(" exceeds the budget ")
+    figures = {
+        name: math.factorial(int(v[:-1])) if v.endswith("!") else int(v)
+        for name, v in re.findall(r"(?:\(|, )([^=]+?)=(\d+!?)", rest)
+    }
+    work = 1
+    for term in formula.split(" x "):
+        base, _, power = term.partition("^")
+        name = next(k for k in figures if base == k or base.endswith(" " + k))
+        work *= figures[name] ** (figures[power] if power else 1)
+    return work
+
+
+def test_budget_refusals_print_factors_past_the_budget():
+    refusals = []
+    groups = [*range(1, 6), FiniteGroupTable.cyclic(3)]
+    words = [parse(t) for t in ("1", "x", "[a,b]")]
+    for group, w, budget in itertools.product(groups, words, range(4)):
+        sweeps = [lambda: word_measure_exact(w, group, budget)]
+        if isinstance(group, FiniteGroupTable):
+            sweeps.append(lambda: epi_image(w, group, budget))
+        for sweep in sweeps:
+            try:
+                sweep()
+            except BudgetExceededError as e:
+                refusals.append((str(e), budget))
+    for w, N, samples, budget in itertools.product(words, range(1, 4), (2, 3), range(40)):
+        try:
+            trw_monte_carlo(w, N, samples, seed=0, budget=budget)
+        except BudgetExceededError as e:
+            refusals.append((str(e), budget))
+    assert len(refusals) > 100
+    for message, budget in refusals:
+        assert charged(message) > budget, message
 
 
 def test_epi_image_is_costed_on_tuples_times_length():
