@@ -10,8 +10,9 @@ representative c, then one element per orbit of its centralizer
 (each of these is invariant under simultaneous conjugation).  At r = 2
 that is sum over classes of |C(c)| tuples, 5,579 on S_7 against
 p(7)·7! = 75,600 for a first-coordinate collapse.  A word is evaluated
-on permutations by `word_image`.  Monte Carlo draws `random_tuple`s
-from one stream seeded `Random(f"{seed}/0")`.
+on permutations by `word_image`, from its first letter's permutation by
+one C-level gather (`compose`) per further letter.  Monte Carlo draws
+`random_tuple`s from one stream seeded `Random(f"{seed}/0")`.
 
 A class-keyed word measure is invariant under Aut(F_r) (h -> h∘phi
 permutes Hom(F_r, G)) and under conjugation of the word, so
@@ -168,7 +169,7 @@ def _sn_pair_orbits(N: int):
             reps = sorted((canon[_class_rep(mu[::-1])], _class_size(mu, N)) for mu in _partitions(N))
         else:
             cent = [(h, invert(h)) for h in _centralizer(lam)]
-            reps = _orbit_reps(pool, lambda x: {tuple([h[x[j]] for j in h_inv]) for h, h_inv in cent})
+            reps = _orbit_reps(pool, lambda x: {compose(compose(h_inv, x), h) for h, h_inv in cent})
         orbits.append((c, inv_of[c], _class_size(lam, N), [(x, inv_of[x], n) for x, n in reps]))
     return pool, inv_pool, orbits
 
@@ -206,6 +207,9 @@ def class_collapsed_tuples(group: "int | FiniteGroupTable", r: int):
     for c, c_inv, size, reps in orbits:
         for x, x_inv, orbit in reps:
             head, head_inv, weight = (c, x), (c_inv, x_inv), size * orbit
+            if r == 2:
+                yield weight, head, head_inv
+                continue
             # the two products walk in lockstep, so rest_inv inverts rest
             for rest, rest_inv in zip(
                 itertools.product(pool, repeat=r - 2),
@@ -214,14 +218,22 @@ def class_collapsed_tuples(group: "int | FiniteGroupTable", r: int):
                 yield weight, head + rest, head_inv + rest_inv
 
 
+def compose(p: Perm, q: Perm) -> Perm:
+    """First p, then q (right action), as one gather of q at p's points;
+    degree <= 1 holds only the identity (a one-index gather is a scalar)."""
+    return operator.itemgetter(*p)(q) if len(p) > 1 else p
+
+
 def word_image(letters, perms, invs) -> Perm:
     """The image of a letter sequence under x_i -> perms[i-1], given
     invs[i-1] = perms[i-1]^-1 (right action: the first letter acts first)."""
-    img = range(len(perms[0])) if perms else ()
-    for g, s in letters:
-        p = perms[g - 1] if s == 1 else invs[g - 1]
-        img = [p[q] for q in img]
-    return tuple(img)
+    if not letters:  # the identity word
+        return tuple(range(len(perms[0]))) if perms else ()
+    g, s = letters[0]
+    img = perms[g - 1] if s == 1 else invs[g - 1]
+    for g, s in letters[1:]:
+        img = compose(img, perms[g - 1] if s == 1 else invs[g - 1])
+    return img
 
 
 def fixed_points(p: Perm) -> int:

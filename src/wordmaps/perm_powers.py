@@ -16,6 +16,7 @@ from .errors import HypothesisError, InternalInvariantError
 from .measures import (  # evaluate_word is re-exported: bench/tracer.py wraps it here
     Perm,
     class_collapsed_tuples,
+    compose,
     cycles,
     evaluate_word,
     invert,
@@ -42,11 +43,6 @@ class CycleType:
 
 def identity(N: int) -> Perm:
     return tuple(range(N))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """First p, then q (right action)."""
-    return tuple(q[p[i]] for i in range(len(p)))
 
 
 def power_of_permutation(p: Perm, d: int) -> Perm:

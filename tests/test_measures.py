@@ -21,17 +21,60 @@ from wordmaps.measures import (
     trw_monte_carlo,
     word_measure_exact,
 )
-from wordmaps.words import parse
+from wordmaps.words import Word, free_reduce, parse
 
 
 # -- all-tuples oracles ----------------------------------------------
 
 
+def word_image_pointwise(letters, perms, invs):
+    """Pointwise oracle for `measures.word_image`: one Python list per
+    letter, built point by point (right action: the first letter acts
+    first)."""
+    img = range(len(perms[0])) if perms else ()
+    for g, s in letters:
+        p = perms[g - 1] if s == 1 else invs[g - 1]
+        img = [p[q] for q in img]
+    return tuple(img)
+
+
+def invert_pointwise(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
 def trw_exact_naive(w, N):
     """All-tuples oracle for trw_exact: fixed points over Hom(F_r, S_N)."""
-    tuples = list(itertools.product(measures.all_perms(N), repeat=w.ambient_rank))
-    fixed = sum(measures.fixed_points(measures.evaluate_word(w, list(t))) for t in tuples)
+    tuples = list(itertools.product(itertools.permutations(range(N)), repeat=w.ambient_rank))
+    fixed = 0
+    for t in tuples:
+        img = word_image_pointwise(w.letters, t, [invert_pointwise(p) for p in t])
+        fixed += sum(q == x for q, x in enumerate(img))
     return Fraction(fixed, len(tuples))
+
+
+def test_word_image_matches_the_pointwise_oracle():
+    # random letter sequences, reduced or not, at r = 0..3 and length
+    # 0..10 on S_1..S_7; the rank-0 cases evaluate the identity word on
+    # one unused permutation, which fixes the degree
+    rng = random.Random(0)
+    cases = 0
+    for N, r in itertools.product(range(1, 8), range(4)):
+        for length in ([0] + [rng.randint(1, 10) for _ in range(12)]) if r else [0]:
+            perms = tuple(tuple(rng.sample(range(N), N)) for _ in range(max(r, 1)))
+            invs = tuple(map(invert_pointwise, perms))
+            letters = tuple((rng.randint(1, r), rng.choice((1, -1))) for _ in range(length))
+            want = word_image_pointwise(letters, perms, invs)
+            assert measures.word_image(letters, perms, invs) == want, (N, letters)
+            reduced = free_reduce(letters)
+            assert measures.evaluate_word(Word(len(perms), reduced), list(perms)) == (
+                word_image_pointwise(reduced, perms, invs)
+            ), (N, letters)
+            cases += 1
+    assert cases == 7 * (1 + 3 * 13)
+    assert measures.word_image((), (), ()) == word_image_pointwise((), (), ()) == ()
+    for p, q in itertools.product(itertools.permutations(range(3)), repeat=2):
+        assert measures.compose(p, q) == word_image_pointwise(((1, 1), (2, 1)), (p, q), ())
+    assert measures.compose((0,), (0,)) == (0,) and measures.compose((), ()) == ()
 
 
 def word_measure_elementwise(w, G):
@@ -237,6 +280,38 @@ def test_mc_is_deterministic_for_seed():
 def test_mc_value_is_pinned():
     # one stream, Random("3/0"); renaming the stream changes this value
     assert trw_monte_carlo(parse("[x,y]"), 5, 1000, seed=3) == (1.195, 0.038554655509567985)
+
+
+# (mean, stderr) of 50 samples at seeds 0, 7 and "s", recorded before
+# words were composed by gathers: the stream and the values do not
+# depend on how a word's image is composed.  On S_1, and for [x,y] and
+# x^2y^2 on the abelian S_2, every draw gives the same value.
+MC_PINS = {
+    ("[x,y]", 1): [(1.0, 0.0)] * 3,
+    ("[x,y]", 2): [(2.0, 0.0)] * 3,
+    ("[x,y]", 5): [(1.3, 0.17670452681218546), (1.4, 0.15649215928719035), (1.52, 0.22899959896587288)],
+    ("x^2y^2", 1): [(1.0, 0.0)] * 3,
+    ("x^2y^2", 2): [(2.0, 0.0)] * 3,
+    ("x^2y^2", 5): [(1.34, 0.1950614764422661), (1.36, 0.18241016799442702), (1.32, 0.22395334791160487)],
+    ("aabAB", 1): [(1.0, 0.0)] * 3,
+    ("aabAB", 2): [(1.16, 0.14101671633432075), (0.92, 0.1423992662214527), (1.0, 0.14285714285714288)],
+    ("aabAB", 5): [(1.5, 0.1743793659390529), (1.42, 0.17164272338143532), (1.34, 0.15282376137504378)],
+    ("X", 1): [(1.0, 0.0)] * 3,
+    ("X", 2): [(1.32, 0.1353453632265944), (1.16, 0.14101671633432075), (0.88, 0.14182484166846693)],
+    ("X", 5): [(1.18, 0.15034653847911852), (1.0, 0.13997084244475302), (1.0, 0.15649215928719035)],
+    ("abc", 1): [(1.0, 0.0)] * 3,
+    ("abc", 2): [(1.08, 0.1423992662214527), (1.08, 0.1423992662214527), (0.96, 0.14274281139196338)],
+    ("abc", 5): [(0.94, 0.13525486146908144), (1.0, 0.13997084244475302), (0.98, 0.12933108911721458)],
+    ("1", 1): [(1.0, 0.0)] * 3,
+    ("1", 2): [(2.0, 0.0)] * 3,
+    ("1", 5): [(5.0, 0.0)] * 3,
+}
+
+
+@pytest.mark.parametrize("text,N", sorted(MC_PINS))
+def test_mc_grid_is_pinned(text, N):
+    got = [trw_monte_carlo(parse(text), N, 50, seed) for seed in (0, 7, "s")]
+    assert got == MC_PINS[text, N]
 
 
 def test_mc_close_to_exact():
@@ -456,6 +531,44 @@ def test_sweep_weights_sum_to_all_tuples(name, r, tuples):
     weights = [weight for weight, _, _ in measures.class_collapsed_tuples(group, r)]
     assert len(weights) == tuples
     assert sum(weights) == order**r
+
+
+def _general_product_sweep(group, r):
+    """The orbit sweep with every coordinate past the second taken from
+    `itertools.product`, as `class_collapsed_tuples` does for r >= 3:
+    the oracle of its r = 2 branch, where the product is one empty
+    tuple."""
+    table = isinstance(group, FiniteGroupTable)
+    pool, inv_pool, orbits = group.pair_orbits if table else measures._sn_pair_orbits(group)
+    for c, c_inv, size, reps in orbits:
+        for x, x_inv, orbit in reps:
+            for rest, rest_inv in zip(
+                itertools.product(pool, repeat=r - 2), itertools.product(inv_pool, repeat=r - 2)
+            ):
+                yield size * orbit, (c, x) + rest, (c_inv, x_inv) + rest_inv
+
+
+@pytest.mark.parametrize("name", [5, 6, 7, *sorted(CAYLEY_GROUPS)])
+def test_rank_two_sweep_equals_the_general_product_code(name):
+    group = _sweep_group(name)
+    sweep = list(measures.class_collapsed_tuples(group, 2))
+    assert sweep == list(_general_product_sweep(group, 2))
+    if name == 7:
+        assert len(sweep) == 5579
+        assert sum(weight for weight, _, _ in sweep) == math.factorial(7) ** 2
+
+
+def test_s7_measures_of_commutator_and_squares_are_pinned():
+    # [x,y] and x^2y^2 induce the same measure on every S_N (Magee-Puder);
+    # the values were recorded before words were composed by gathers
+    want = (
+        ((1, 1, 1, 1, 1, 1, 1), Fraction(1, 336)), ((2, 2, 1, 1, 1), Fraction(103, 1680)),
+        ((3, 1, 1, 1, 1), Fraction(11, 240)), ((3, 2, 2), Fraction(127, 1680)),
+        ((3, 3, 1), Fraction(17, 140)), ((4, 2, 1), Fraction(8, 35)),
+        ((5, 1, 1), Fraction(3, 14)), ((7,), Fraction(1, 4)),
+    )
+    assert word_measure_exact(parse("[x,y]"), 7).support == want
+    assert word_measure_exact(parse("x^2y^2"), 7).support == want
 
 
 @pytest.mark.parametrize("name", [1, 2, 3, 4, 5, 6, 7, "A5", "S4", "D4", "Z6"])

@@ -256,6 +256,22 @@ def test_obstruction_rejects_a_negative_sample_budget():
         word_power_obstruction(parse("x^2y^2"), 2, [2, 3], sample_budget=-1)
 
 
+def test_obstruction_verdicts_are_pinned():
+    # the README example, swept exhaustively, and N = 9, past the
+    # exhaustive cap, where seeded samples are drawn; recorded before
+    # words were composed by gathers
+    assert word_power_obstruction(parse("x^2y^2"), 2, [2, 3, 4, 5, 6], seed=0) == ObstructionVerdict(
+        "aabb", 2, 6, ((1, 2, 3, 4, 5, 0), (0, 1, 2, 4, 5, 3)), (2, 3, 4, 5, 6), False
+    )
+    assert not measures.within_hom_budget(9, 2, 1, perm_powers.OBSTRUCTION_EXHAUSTIVE_CAP)
+    assert word_power_obstruction(parse("[x,y]"), 2, [9], seed=0) == ObstructionVerdict(
+        "abAB", 2, 9, ((8, 4, 0, 3, 6, 5, 1, 2, 7), (1, 6, 0, 5, 8, 3, 7, 4, 2)), (9,), False
+    )
+    assert word_power_obstruction(parse("x^2y^2"), 2, [9], seed=0) == ObstructionVerdict(
+        "aabb", 2, 9, ((7, 3, 5, 6, 0, 1, 2, 4, 8), (7, 0, 3, 2, 4, 6, 5, 1, 8)), (9,), False
+    )
+
+
 def test_obstruction_finds_witness_for_commutator():
     v = word_power_obstruction(parse("[x,y]"), 2, [2, 3, 4, 5, 6])
     assert v.conclusive and v.witness_degree == 6
