@@ -53,16 +53,17 @@ class NRangeError(ValueError, argparse.ArgumentTypeError):
     message as the reason."""
 
 
-def parse_n_range(text: str) -> list[int]:
-    """Inclusive "a..b", or a single integer."""
+def parse_n_range(text: str) -> range:
+    """Inclusive "a..b", or a single integer, as a range: its size does
+    not depend on how many N it holds."""
     lo, dots, hi = text.partition("..")
     try:
-        out = list(range(int(lo), int(hi) + 1)) if dots else [int(text)]
+        out = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise NRangeError(f"invalid N range {text!r}") from None
     if not out:
         raise NRangeError(f"empty N range {text!r}")
-    if any(n < 1 for n in out):
+    if out[0] < 1:
         raise NRangeError("N must be positive")
     return out
 
@@ -117,7 +118,8 @@ def _config_echo(args: argparse.Namespace) -> str:
     items = sorted(
         (k, v) for k, v in vars(args).items() if k not in _CONFIG_SKIP and v is not None
     )
-    return " ".join(f"{k}={v}" for k, v in items)
+    # an N range echoes as the list of its values
+    return " ".join(f"{k}={list(v) if isinstance(v, range) else v}" for k, v in items)
 
 
 def _emit(args, text: str, summary: str):

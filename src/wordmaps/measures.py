@@ -12,7 +12,9 @@ that is sum over classes of |C(c)| tuples, 5,579 on S_7 against
 p(7)·7! = 75,600 for a first-coordinate collapse.  A word is evaluated
 on permutations by `word_image`, from its first letter's permutation by
 one C-level gather (`compose`) per further letter.  Monte Carlo draws
-`random_tuple`s from one stream seeded `Random(f"{seed}/0")`.
+from one stream seeded `Random(f"{seed}/0")`, with the draws and values
+of `Random.shuffle`, and draws and evaluates its samples in blocks of up
+to 256 points (`shuffled_blocks`), one gather per letter per block.
 
 A class-keyed word measure is invariant under Aut(F_r) (h -> h∘phi
 permutes Hom(F_r, G)) and under conjugation of the word, so
@@ -43,6 +45,9 @@ from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .words import Word, whitehead_minimal
 
 CAYLEY_ORDER_CAP = 64
+# Points per Monte Carlo block: CPython shares the ints 0..255, so a block
+# of at most 256 points allocates only its lists of references.
+MC_BLOCK_POINTS = 256
 
 Perm = tuple[int, ...]
 
@@ -234,10 +239,6 @@ def word_image(letters, perms, invs) -> Perm:
     for g, s in letters[1:]:
         img = compose(img, perms[g - 1] if s == 1 else invs[g - 1])
     return img
-
-
-def fixed_points(p: Perm) -> int:
-    return sum(1 for q, x in enumerate(p) if q == x)
 
 
 def evaluate_word(w: Word, perms: list[Perm]) -> Perm:
@@ -567,15 +568,37 @@ def epi_image(w: Word, G: FiniteGroupTable, budget: int = DEFAULT_BUDGET) -> set
 # ----------------------------------------------------------------------
 
 
+def shuffled_blocks(rng: random.Random, N: int, r: int, count: int) -> list[list[int]]:
+    """`count` samples of r uniform permutations of degree N, as r lists
+    of count x N points: sample s of list g is the g-th permutation of
+    sample s, shifted onto the points s*N .. s*N + N - 1.
+
+    Sample by sample, then generator by generator, each block is one
+    Fisher-Yates shuffle of its points, drawn exactly as
+    `rng.shuffle(list(range(N)))` draws it (`Random._randbelow` by
+    rejection on `getrandbits`), so the stream and every value are those
+    of `Random.shuffle`; only the per-call overhead is gone."""
+    getrandbits = rng.getrandbits
+    steps = [(i, (i + 1).bit_length()) for i in range(N - 1, 0, -1)]
+    out: list[list[int]] = [[] for _ in range(r)]
+    for s in range(count):
+        for points in out:
+            block = list(range(s * N, s * N + N))
+            for i, k in steps:
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                block[i], block[j] = block[j], block[i]
+            points += block
+    return out
+
+
 def random_tuple(rng: random.Random, N: int, r: int) -> tuple[tuple[Perm, ...], tuple[Perm, ...]]:
-    """r independent uniform permutations of degree N and their inverses,
-    one `rng.shuffle` of range(N) each."""
-    perms = []
-    for _ in range(r):
-        p = list(range(N))
-        rng.shuffle(p)
-        perms.append(tuple(p))
-    return tuple(perms), tuple(invert(p) for p in perms)
+    """r independent uniform permutations of degree N and their inverses:
+    one block of `shuffled_blocks`, the stream of one `rng.shuffle` of
+    range(N) each."""
+    perms = tuple(map(tuple, shuffled_blocks(rng, N, r, 1)))
+    return perms, tuple(map(invert, perms))
 
 
 def trw_monte_carlo(
@@ -588,9 +611,13 @@ def trw_monte_carlo(
     """Unbiased sample estimate of trw_exact with its standard error.
 
     Deterministic for a fixed seed: every sample is drawn from the one
-    stream `Random(f"{seed}/0")`.  The work, samples x max(length, 1)
-    letter evaluations on N points each, is checked against `budget`
-    before the first sample.
+    stream `Random(f"{seed}/0")`, with the draws and values of one
+    `Random.shuffle` per permutation.  Samples are drawn and evaluated in
+    blocks of up to `MC_BLOCK_POINTS` points (`shuffled_blocks`): the
+    word costs one gather per letter for the whole block, and an inverse
+    only for a generator it uses inverted.  The work, samples x
+    max(length, 1) letter evaluations on N points each, is checked
+    against `budget` before the first sample.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -599,13 +626,21 @@ def trw_monte_carlo(
         _refuse("samples x max(length, 1) x N", budget,
                 {"samples": samples, "max(length, 1)": length, "N": N})
     letters, r = _effective_letters(w)
-    rng = random.Random(f"{seed}/0")
-    total = total_sq = 0
-    for _ in range(samples):
-        perms, invs = random_tuple(rng, N, r)
-        f = fixed_points(word_image(letters, perms, invs)) if r else N
-        total += f
-        total_sq += f * f
+    if not r:  # the identity word fixes all N points of every sample
+        total, total_sq = N * samples, N * N * samples
+    else:
+        inverted = {g for g, s in letters if s == -1}
+        rng = random.Random(f"{seed}/0")
+        total = total_sq = 0
+        per_block = max(1, MC_BLOCK_POINTS // max(N, 1))  # N < 1: empty samples
+        for start in range(0, samples, per_block):
+            perms = shuffled_blocks(rng, N, r, min(per_block, samples - start))
+            invs = [invert(p) if g in inverted else None for g, p in enumerate(perms, 1)]
+            img = word_image(letters, perms, invs)
+            # the fixed points of each sample, from its N-point group
+            fixed = list(map(sum, zip(*[map(operator.eq, img, range(len(img)))] * N)))
+            total += sum(fixed)
+            total_sq += sum(map(operator.mul, fixed, fixed))
     mean = total / samples
     var = (total_sq / samples - mean * mean) * samples / (samples - 1)
     stderr = math.sqrt(max(var, 0.0) / samples)

@@ -1,6 +1,7 @@
 import json
 import shlex
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,26 @@ def run(capsys, *argv):
 
 
 def test_parse_n_range():
-    assert cli.parse_n_range("3..6") == [3, 4, 5, 6]
-    assert cli.parse_n_range("4") == [4]
+    assert list(cli.parse_n_range("3..6")) == [3, 4, 5, 6]
+    assert list(cli.parse_n_range("4")) == [4]
     with pytest.raises(ValueError):
         cli.parse_n_range("5..3")
     with pytest.raises(ValueError):
         cli.parse_n_range("0")
+    with pytest.raises(ValueError, match="positive"):
+        cli.parse_n_range("0..3")
+
+
+def test_parse_n_range_does_not_build_the_range():
+    # a list of 10^9 ints would take about 40 GB
+    tracemalloc.start()
+    try:
+        n_range = cli.parse_n_range("1..1000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (len(n_range), n_range[0], n_range[-1]) == (10**9, 1, 10**9)
 
 
 def test_parse_group_symmetric():

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import platform
 import random
 import re
 import time
@@ -312,6 +313,62 @@ MC_PINS = {
 def test_mc_grid_is_pinned(text, N):
     got = [trw_monte_carlo(parse(text), N, 50, seed) for seed in (0, 7, "s")]
     assert got == MC_PINS[text, N]
+
+
+def trw_monte_carlo_per_sample(w, N, samples, seed):
+    """Per-sample oracle for `trw_monte_carlo`: one `rng.shuffle` per
+    permutation, the word evaluated point by point, fixed points counted
+    in Python."""
+    letters, r = measures._effective_letters(w)
+    rng = random.Random(f"{seed}/0")
+    total = total_sq = 0
+    for _ in range(samples):
+        perms = []
+        for _ in range(r):
+            p = list(range(N))
+            rng.shuffle(p)
+            perms.append(tuple(p))
+        img = word_image_pointwise(letters, perms, [invert_pointwise(p) for p in perms])
+        f = sum(q == x for q, x in enumerate(img)) if r else N
+        total += f
+        total_sq += f * f
+    mean = total / samples
+    var = (total_sq / samples - mean * mean) * samples / (samples - 1)
+    return mean, math.sqrt(max(var, 0.0) / samples)
+
+
+MC_ORACLE_WORDS = ["1", "x", "X", "x^2y^2", "[x,y]", "abc", "aBcAbC"]
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 6, 7, 43, 255, 256, 257, 300])
+def test_mc_blocks_match_the_per_sample_oracle(N):
+    # ranks 0..3, with and without inverse letters; sample counts on both
+    # sides of one and two blocks
+    per_block = max(1, measures.MC_BLOCK_POINTS // N)
+    counts = sorted({2, 3, per_block - 1, per_block + 1, 2 * per_block + 3} - {0, 1})
+    for text, samples, seed in itertools.product(MC_ORACLE_WORDS, counts, (11, "t")):
+        w = parse(text)
+        want = trw_monte_carlo_per_sample(w, N, samples, seed)
+        assert trw_monte_carlo(w, N, samples, seed) == want, (text, N, samples, seed)
+
+
+def test_shuffled_blocks_draw_as_random_shuffle():
+    # a CPython whose `shuffle` draws differently changes every pinned
+    # Monte Carlo value; this names the version that did
+    for N, seed in itertools.product(range(1, 13), range(40)):
+        for r, count in ((1, 1), (2, 3)):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = measures.shuffled_blocks(ours, N, r, count)
+            want = [[] for _ in range(r)]
+            for s in range(count):
+                for points in want:
+                    p = list(range(s * N, s * N + N))
+                    theirs.shuffle(p)
+                    points += p
+            assert got == want and ours.getstate() == theirs.getstate(), (
+                f"shuffled_blocks no longer draws as random.Random.shuffle on "
+                f"Python {platform.python_version()} (N={N}, seed={seed}, r={r}, count={count})"
+            )
 
 
 def test_mc_close_to_exact():
@@ -671,7 +728,7 @@ def test_mc_budget_is_checked_before_the_first_sample(monkeypatch):
     def refuse(*args):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(measures, "random_tuple", refuse)
+    monkeypatch.setattr(measures, "shuffled_blocks", refuse)
     # 20,000 samples x length 4 x N = 5
     with pytest.raises(BudgetExceededError, match=r"samples=20000, max\(length, 1\)=4, N=5\)"):
         trw_monte_carlo(parse("[a,b]"), 5, 20000, seed=1, budget=399_999)
