@@ -2,12 +2,13 @@
 
 Exact values are arbitrary-precision rationals (`fractions.Fraction`).
 Tr_w(N) and Phi_H(N) are sums over the folded quotients of Gamma(H).
-Word measures, their comparison and epimorphism images enumerate
-Hom(F_r, G), for G = S_N or a Cayley table alike, through one serial
-sweep, `class_collapsed_tuples`, which visits one tuple per orbit of
-simultaneous conjugation on the first two coordinates: a class
-representative c, then one element per orbit of its centralizer
-(each of these is invariant under simultaneous conjugation).  At r = 2
+Word measures (but for the S_N products and commutators below), their
+comparison and epimorphism images enumerate Hom(F_r, G), for G = S_N or
+a Cayley table alike, through one serial sweep, `class_collapsed_tuples`,
+which visits one tuple per orbit of simultaneous conjugation on the
+first two coordinates: a class representative c, then one element per
+orbit of its centralizer (each of these is invariant under simultaneous
+conjugation).  At r = 2
 that is sum over classes of |C(c)| tuples, 5,579 on S_7 against
 p(7)·7! = 75,600 for a first-coordinate collapse.  A word is evaluated
 on permutations by `word_image`, from its first letter's permutation by
@@ -18,14 +19,19 @@ to 256 points (`shuffled_blocks`), one gather per letter per block.
 
 A class-keyed word measure is invariant under Aut(F_r) (h -> h∘phi
 permutes Hom(F_r, G)) and under conjugation of the word, so
-`word_measure_exact` and `compare_measures` sweep
+`word_measure_exact` and `compare_measures` work on
 `words.whitehead_minimal(w)`, a shortest word of the orbit found by
 Whitehead star-graph cuts, and cost their budget on it: a primitive
-word is swept as one letter.  `trw_exact`/`phi_exact` sum over the core
-graph of the word as given, Monte Carlo samples it, and `epi_image` and
-`perm_powers.word_power_obstruction` report images and witness tuples
-of that word, so they keep it as given.  Cayley tables are checked for
-associativity by Light's test on a generating set.
+word is swept as one letter.  On S_N, a word whose cyclic word splits
+into blocks in disjoint letters, or that is one commutator [x, y], is
+measured from the character table of S_N (Murnaghan-Nakayama on
+beta-sets, cached per degree): independent blocks multiply their
+Fourier coefficients, [x, y] has 1/chi(1)^2 (Frobenius), and every
+other block is swept on its own.  `trw_exact`/`phi_exact` sum over the
+core graph of the word as given, Monte Carlo samples it, and
+`epi_image` and `perm_powers.word_power_obstruction` report images and
+witness tuples of that word, so they keep it as given.  Cayley tables
+are checked for associativity by Light's test on a generating set.
 """
 from __future__ import annotations
 
@@ -42,7 +48,7 @@ from functools import cached_property
 import wordmaps
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .words import Word, whitehead_minimal
+from .words import Word, disjoint_blocks, whitehead_minimal
 
 CAYLEY_ORDER_CAP = 64
 # Points per Monte Carlo block: CPython shares the ints 0..255, so a block
@@ -463,6 +469,130 @@ class FiniteGroupTable:
 
 
 # ----------------------------------------------------------------------
+# Characters of S_N
+# ----------------------------------------------------------------------
+
+
+def _check_character_budget(N: int, budget: int):
+    """Refuse the character table of S_N unless classes x classes x N is
+    within budget, `classes` the partitions of every degree m <= N: each
+    is one column of the build, and a column costs at most one step per
+    rim hook of each partition of m, at most classes x N.  The partition
+    counts come from Euler's pentagonal recurrence and stop once the
+    charge passes the budget, so a huge N costs nothing to refuse (and a
+    refusal prints the count reached)."""
+    p, classes = [1], 1  # p(0); the classes of S_0
+    for m in range(1, N + 1):
+        if classes * classes * N > budget:
+            break
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * (p[m - g] + (p[m - g - k] if g + k <= m else 0))
+            k += 1
+        p.append(total)
+        classes += total
+    if classes * classes * N > budget:
+        _refuse("character table classes x classes x N", budget, {"classes": classes, "N": N})
+
+
+@functools.cache
+def _sn_characters(N: int):
+    """(classes, index, sizes, columns) for S_N: the cycle types in
+    `_partitions` order, each one's position and class size, and per
+    class the integer values on it of the irreducible characters
+    chi^lambda, lambda in the same order.  Kept per degree for the life
+    of the process.
+
+    Murnaghan-Nakayama on beta-sets: chi^lambda at the cycle type
+    (t, nu) is the sum over the rim hooks of length t of lambda of
+    (-1)^leg chi^(lambda minus the hook)(nu).  With k beads at the
+    first-column hook lengths of lambda, a rim hook of length t moves a
+    bead b to a free c = b - t, and its leg is the number of beads
+    between.  The columns are built along a depth-first walk of the
+    cycle types with their parts added in ascending order: each column
+    of a degree m < N is computed once, from its parent, and dropped
+    once its children are, so the build holds the columns of one path
+    and of their pending siblings, and the rim hooks of each degree.
+    """
+    parts = [list(_partitions(m)) for m in range(N + 1)]
+    index = [{lam: i for i, lam in enumerate(ps)} for ps in parts]
+    # rims[m][t]: (i, j, sign) for each rim hook of length t that takes
+    # parts[m][i] to parts[m - t][j]
+    rims: list[dict[int, list]] = [{} for _ in range(N + 1)]
+    for m in range(1, N + 1):
+        for i, lam in enumerate(parts[m]):
+            k = len(lam)
+            beads = [part + k - 1 - a for a, part in enumerate(lam)]
+            for b in beads:
+                for c in set(range(b)).difference(beads):
+                    moved = sorted([c if x == b else x for x in beads], reverse=True)
+                    mu = tuple(y for a, x in enumerate(moved) if (y := x - (k - 1 - a)))
+                    sign = -1 if sum(c < x < b for x in beads) % 2 else 1
+                    rims[m].setdefault(b - c, []).append((i, index[m - b + c][mu], sign))
+    built = {}
+    stack = [((), 0, [1])]  # parts in ascending order, their sum, the column
+    while stack:
+        seq, m, col = stack.pop()
+        if m == N:
+            built[seq[::-1]] = col
+            continue
+        rest = N - m
+        least = seq[-1] if seq else 1
+        # every later part is at least t, so t = rest or 2t <= rest
+        for t in [*range(least, rest // 2 + 1), *([rest] if rest >= least else [])]:
+            child = [0] * len(parts[m + t])
+            for i, j, sign in rims[m + t].get(t, ()):
+                child[i] += sign * col[j]
+            stack.append((seq + (t,), m + t, child))
+    classes = parts[N]
+    return classes, index[N], [_class_size(nu, N) for nu in classes], [built[nu] for nu in classes]
+
+
+def _is_commutator(block) -> bool:
+    """Whether a letter block is g^e h^f g^-e h^-f with g != h and signs e, f."""
+    if len(block) != 4:
+        return False
+    (g, e), (h, f), third, fourth = block
+    return g != h and third == (g, -e) and fourth == (h, -f)
+
+
+def _character_measure(N: int, factors) -> MeasureTable:
+    """The measure on S_N of a product of independent factors, from the
+    character table.  `factors` holds, per factor, None for a commutator
+    [x, y] of two of its own letters, or its class counts (a Counter of
+    cycle types summing to (N!)^r).
+
+    Each factor has the Fourier coefficient fhat(chi) = sum_C mu(C)
+    chi(C) / chi(1) (Frobenius: 1/chi(1)^2 for [x, y]); independent
+    factors multiply them, and mu(C) = |C|/N! sum_chi chi(1) fhat(chi)
+    chi(C).  All of it runs in integers over one common denominator."""
+    classes, index, sizes, columns = _sn_characters(N)
+    dims = columns[-1]  # the last class is the identity's
+    weights, power, denominator = [1] * len(dims), -1, math.factorial(N)
+    for counts in factors:
+        if counts is None:
+            power += 2
+            continue
+        power += 1
+        denominator *= sum(counts.values())
+        summed = [0] * len(dims)  # sum_C counts(C) chi(C), per chi
+        for nu, n in counts.items():
+            summed = [s + n * x for s, x in zip(summed, columns[index[nu]])]
+        weights = list(map(operator.mul, weights, summed))
+    # mu(C) = |C| sum_chi weight(chi) chi(C) / (denominator chi(1)^power)
+    common = math.lcm(*dims) ** power
+    weights = [w * (common // d**power) for w, d in zip(weights, dims)]
+    denominator *= common
+    support = []
+    for nu, size, column in zip(classes, sizes, columns):
+        numer = size * sum(map(operator.mul, weights, column))
+        if numer:
+            support.append((nu, Fraction(numer, denominator)))
+    return MeasureTable(f"S{N}", tuple(sorted(support)))
+
+
+# ----------------------------------------------------------------------
 # Measure tables and comparison
 # ----------------------------------------------------------------------
 
@@ -482,38 +612,87 @@ class MeasureTable:
         return self.as_dict.get(key, Fraction(0))
 
 
-def word_measure_exact(
-    w: Word, group: "int | FiniteGroupTable", budget: int = DEFAULT_BUDGET
-) -> MeasureTable:
-    """Exact w-measure on an S_N degree (classes keyed by cycle type) or a
-    Cayley table (keyed by class index).
-
-    The measure is invariant under Aut(F_r) and conjugation, so the
-    sweep runs on `whitehead_minimal(w)`, a shortest word of the orbit of
-    w (a primitive word becomes one letter), and the budget is costed on
-    it.  Its images are tallied over the class-collapsed sweep, each
-    weighted by its class size, and then classified.  The generators it
-    uses are x_1..x_r, the others integrate out; the identity word needs
-    no sweep, but is charged one unit of work on S_N as on a table.
-    """
-    letters = whitehead_minimal(w).letters
+def _sweep_counts(letters, group: "int | FiniteGroupTable") -> Counter:
+    """Class key -> the number of the |G|^r tuples of Hom(F_r, G) that
+    send the letter sequence into that class, r its largest generator
+    index: the images are tallied over the class-collapsed sweep, each
+    weighted by its class size, and then classified.  The identity word
+    needs no sweep."""
     r = max((g for g, _ in letters), default=0)
-    _check_hom_budget("Hom sweep", group, r, len(letters), budget)
     if isinstance(group, FiniteGroupTable):
-        label, identity = f"cayley:{group.order}", 0
-        image, classify = group.word_image, group.class_of.__getitem__
+        identity, image, classify = 0, group.word_image, group.class_of.__getitem__
     else:
-        label, identity = f"S{group}", tuple(range(group))
-        image, classify = word_image, cycle_type_key
-    by_image = Counter() if r else Counter([identity])  # the identity word: no sweep
+        identity, image, classify = tuple(range(group)), word_image, cycle_type_key
+    by_image = Counter() if r else Counter([identity])
     for size, elems, invs in class_collapsed_tuples(group, r) if r else ():
         by_image[image(letters, elems, invs)] += size
     # there are at most |G| images to classify
     counts: Counter = Counter()
     for img, weight in by_image.items():
         counts[classify(img)] += weight
-    total = sum(counts.values())
-    return MeasureTable(label, tuple(sorted((k, Fraction(v, total)) for k, v in counts.items())))
+    return counts
+
+
+def _check_sweep_budget(letters, group, budget: int):
+    """Refuse the Hom sweep of a letter sequence, at the rank of its
+    largest generator index, unless `within_hom_budget`."""
+    r = max((g for g, _ in letters), default=0)
+    _check_hom_budget("Hom sweep", group, r, len(letters), budget)
+
+
+def _measure_plan(w: Word, group: "int | FiniteGroupTable", budget: int):
+    """Charge the measure of w on group against the budget, and return
+    the work that computes it, a callable with no arguments: so a
+    comparison charges both words before either is computed.
+
+    The work runs on `whitehead_minimal(w)`.  On S_N, when its cyclic
+    word splits into two or more blocks in disjoint letters
+    (`words.disjoint_blocks`), or is one commutator of two letters, the
+    measure comes from the character table (`_character_measure`): each
+    block that is not a commutator is swept on its own, at its own rank.
+    The table and each block's sweep are charged before any work starts.
+    Every other word, and every word on a Cayley table, is swept whole.
+    """
+    letters = whitehead_minimal(w).letters
+    if not isinstance(group, FiniteGroupTable) and letters:
+        blocks = disjoint_blocks(letters)
+        if len(blocks) > 1 or _is_commutator(blocks[0]):
+            _check_character_budget(group, budget)
+            swept = [None if _is_commutator(b) else whitehead_minimal(Word(w.ambient_rank, b))
+                     for b in blocks]
+            for block in swept:
+                if block is not None:
+                    _check_sweep_budget(block.letters, group, budget)
+            return lambda: _character_measure(group, [
+                None if block is None else _sweep_counts(block.letters, group) for block in swept])
+    _check_sweep_budget(letters, group, budget)
+    label = f"cayley:{group.order}" if isinstance(group, FiniteGroupTable) else f"S{group}"
+
+    def sweep() -> MeasureTable:
+        counts = _sweep_counts(letters, group)
+        total = sum(counts.values())
+        support = sorted((k, Fraction(v, total)) for k, v in counts.items())
+        return MeasureTable(label, tuple(support))
+
+    return sweep
+
+
+def word_measure_exact(
+    w: Word, group: "int | FiniteGroupTable", budget: int = DEFAULT_BUDGET
+) -> MeasureTable:
+    """Exact w-measure on an S_N degree (classes keyed by cycle type) or a
+    Cayley table (keyed by class index).
+
+    The measure is invariant under Aut(F_r) and conjugation, so it is
+    computed for `whitehead_minimal(w)`, a shortest word of the orbit of
+    w (a primitive word becomes one letter), and the budget is costed on
+    it.  On S_N a product of blocks in disjoint letters, or a commutator,
+    is measured from the character table of S_N; every other word by the
+    class-collapsed Hom sweep (`_measure_plan`).  The generators a sweep
+    uses are x_1..x_r, the others integrate out; the identity word needs
+    no sweep, but is charged one unit of work on S_N as on a table.
+    """
+    return _measure_plan(w, group, budget)()
 
 
 @dataclass(frozen=True)
@@ -527,9 +706,10 @@ class MeasureComparison:
 def compare_measures(
     w1: Word, w2: Word, group: "int | FiniteGroupTable", budget: int = DEFAULT_BUDGET
 ) -> MeasureComparison:
-    """Exact equality of two word measures, with a witness class if not."""
-    m1 = word_measure_exact(w1, group, budget)
-    m2 = word_measure_exact(w2, group, budget)
+    """Exact equality of two word measures, with a witness class if not.
+    Both words are charged against the budget before either is measured."""
+    plans = [_measure_plan(w, group, budget) for w in (w1, w2)]
+    m1, m2 = (plan() for plan in plans)
     keys = sorted(set(m1.as_dict) | set(m2.as_dict))
     differing = [
         (key, m1.probability(key), m2.probability(key))

@@ -8,6 +8,7 @@ commutator bracket `[u,v] = u v u^-1 v^-1`.  Whitespace is ignored.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -315,6 +316,30 @@ def is_dth_power_in_free(w: Word, d: int) -> bool:
         return True
     _, b = maximal_root(w)
     return b % d == 0
+
+
+def disjoint_blocks(letters: Sequence[Letter]) -> list[tuple[Letter, ...]]:
+    """The finest split of a cyclic word into arcs whose generator sets are
+    pairwise disjoint, over every rotation; the arcs of a product
+    u_1 ... u_k in disjoint letters, read from one cut.
+
+    Cut c falls before letter c.  A set of cuts splits the word so iff,
+    for every generator, all of them fall into one gap between cyclically
+    consecutive occurrences of it.  So the cuts that lie in the same gap
+    for every generator form such a set, and the largest of these classes
+    (the first, on a tie) is the finest split: O(length x generators).
+    One arc, the word itself, when no two cuts agree.
+    """
+    occurrences = Counter(g for g, _ in letters)
+    counts = dict.fromkeys(occurrences, 0)  # occurrences before the cut
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for c, (g, _) in enumerate(letters):
+        gaps = tuple(counts[h] % m for h, m in occurrences.items())
+        classes.setdefault(gaps, []).append(c)
+        counts[g] += 1
+    cuts = max(classes.values(), key=len, default=[0])
+    doubled = tuple(letters) * 2
+    return [doubled[a:b] for a, b in zip(cuts, cuts[1:] + [cuts[0] + len(letters)])]
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import shlex
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -508,6 +509,15 @@ def test_primitive_word_table_is_costed_on_one_letter(capsys):
     assert (rc, rc_x) == (0, 0)
     assert rows == [line for line in out_x.splitlines() if not line.startswith("#")]
     assert len(rows) == 1 + 1 + 30  # summary, header, p(9) classes
+
+
+def test_commutator_table_on_s8_comes_from_characters(capsys):
+    # the sweep would cost (8!)^2 x 4 > 10^9 and exit 4; the character
+    # table of S8 costs 67^2 x 8
+    rc, out, err = run(capsys, "measure", "table", "--word", "[a,b]", "--group", "S8")
+    rows = [line.rsplit(",", 3) for line in out.splitlines()[6:]]
+    assert (rc, err) == (0, "") and len(rows) == 12  # the 12 even classes of S8
+    assert sum(Fraction(int(num), int(den)) for _, num, den, _ in rows) == 1
 
 
 def test_non_associative_cayley_table_exits_2(capsys, tmp_path):

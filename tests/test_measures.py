@@ -22,7 +22,7 @@ from wordmaps.measures import (
     trw_monte_carlo,
     word_measure_exact,
 )
-from wordmaps.words import Word, free_reduce, parse
+from wordmaps.words import Word, free_reduce, parse, whitehead_minimal
 
 
 # -- all-tuples oracles ----------------------------------------------
@@ -658,13 +658,22 @@ def test_each_second_coordinate_is_least_of_its_centralizer_orbit(name):
 SWEEP_WORDS = ["x", "x^2", "aab", "[x,y]", "xyxY", "x^2yXy", "x^2y^2XY", "x^2y^3", "xyz", "xyzXYZ"]
 
 
+def _swept_measure(w, N):
+    """The measure of w on S_N by the Hom sweep of its Whitehead-minimal
+    word, whatever route `word_measure_exact` takes for it."""
+    counts = measures._sweep_counts(whitehead_minimal(w).letters, N)
+    total = sum(counts.values())
+    support = sorted((k, Fraction(v, total)) for k, v in counts.items())
+    return measures.MeasureTable(f"S{N}", tuple(support))
+
+
 @functools.cache
 def _oracle_measure(text, N):
     """The measure of the word `text` (letters a, b, ...) on S_N through
-    the first-coordinate sweep."""
+    the first-coordinate sweep, never the character table."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "class_collapsed_tuples", _first_coordinate_sweep)
-        return word_measure_exact(parse(text), N)
+        return _swept_measure(parse(text), N)
 
 
 # S6 and S7 at r <= 2, S5 at r = 3; each word is compared with the next
@@ -677,7 +686,8 @@ def test_orbit_sweep_matches_the_first_coordinate_sweep(monkeypatch, text):
     for N in (6, 7) if w.ambient_rank <= 2 else (5,):
         got = word_measure_exact(w, N), compare_measures(w, parse(partner), N)
         with monkeypatch.context() as mp:
-            mp.setattr(measures, "word_measure_exact", lambda v, group, budget: _oracle_measure(str(v), group))
+            mp.setattr(measures, "_measure_plan",
+                       lambda v, group, budget: lambda: _oracle_measure(str(v), group))
             want = _oracle_measure(str(w), N), compare_measures(w, parse(partner), N)
         assert got == want, (text, partner, N)
 
@@ -851,3 +861,127 @@ def test_associative_table_without_inverses_passes_light_test():
     assert associativity_oracle(table) is None
     with pytest.raises(ValueError, match="element 1 has no inverse"):
         FiniteGroupTable(3, table)
+
+
+# -- measures from the characters of S_N ------------------------------
+
+
+def _hook_length_degree(lam):
+    """chi^lambda(1) by the hook-length formula."""
+    cols = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
+    hooks = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            hooks *= (part - j - 1) + (cols[j] - i - 1) + 1
+    return math.factorial(sum(lam)) // hooks
+
+
+@pytest.mark.parametrize("N", range(1, 11))
+def test_character_table_is_orthogonal_with_hook_length_degrees(N):
+    classes, index, sizes, columns = measures._sn_characters(N)
+    assert classes == list(measures._partitions(N))
+    assert index == {nu: i for i, nu in enumerate(classes)}
+    assert sizes == [measures._class_size(nu, N) for nu in classes]
+    chars = list(zip(*columns))  # per lambda, in partition order, its values
+    assert [chi[-1] for chi in chars] == [_hook_length_degree(lam) for lam in classes]
+    assert chars[0] == (1,) * len(classes)  # lambda = (N): the trivial character
+    assert chars[-1] == tuple((-1) ** (N - len(nu)) for nu in classes)  # the sign
+    for a, b in itertools.combinations_with_replacement(range(len(chars)), 2):
+        inner = sum(size * x * y for size, x, y in zip(sizes, chars[a], chars[b]))
+        assert inner == (math.factorial(N) if a == b else 0), (N, a, b)
+
+
+def _random_product(rng, rank):
+    """A product of commutators and powers, with random signs, in disjoint
+    letters of F_rank, at a random rotation and under a random signed
+    permutation of the generators."""
+    gens, letters = list(range(1, rank + 1)), []
+    while gens:
+        if len(gens) >= 2 and rng.random() < 0.5:
+            (g, e), (h, f) = [(gens.pop(0), rng.choice((1, -1))) for _ in range(2)]
+            letters += [(g, e), (h, f), (g, -e), (h, -f)]
+        else:
+            g, d = gens.pop(0), rng.choice((2, 3, -2, -3))
+            letters += [(g, 1 if d > 0 else -1)] * abs(d)
+    k = rng.randrange(len(letters))
+    images = rng.sample(range(1, rank + 1), rank)
+    signs = [rng.choice((1, -1)) for _ in range(rank)]
+    rotated = letters[k:] + letters[:k]
+    return Word(rank, tuple((images[g - 1], s * signs[g - 1]) for g, s in rotated))
+
+
+@pytest.mark.parametrize("rank,max_N,count", [(2, 7, 8), (3, 5, 6), (4, 4, 5)])
+def test_character_route_matches_the_sweep(monkeypatch, rank, max_N, count):
+    routed = []
+    character_measure = measures._character_measure
+    monkeypatch.setattr(measures, "_character_measure",
+                        lambda N, factors: routed.append(N) or character_measure(N, factors))
+    rng = random.Random(f"characters/{rank}")
+    words = [_random_product(rng, rank) for _ in range(count)]
+    for w in words:
+        for N in range(1, max_N + 1):
+            assert word_measure_exact(w, N, budget=10**12) == _swept_measure(w, N), (str(w), N)
+    # every word factors or is a commutator, so each took the tables
+    assert len(routed) == count * max_N
+
+
+@pytest.mark.parametrize("text", ["[x,y]", "x^2y^2", "x^2y^3", "[a,b]c^2", "[a,b][c,d]"])
+def test_expected_fixed_points_from_characters_equal_trw(text):
+    # the quotient sum of Tr_w shares nothing with the character route but
+    # the word; a budget of 10^10 refuses any rank-2 sweep from S9 on
+    w = parse(text)
+    for N in range(1, 13):
+        table = word_measure_exact(w, N, budget=10**10)
+        assert sum(p * nu.count(1) for nu, p in table.support) == trw_exact(w, N), (text, N)
+
+
+def test_commutator_and_product_of_squares_share_every_sn_measure():
+    # Magee-Puder: [x,y] and x^2y^2 induce the same measure on every S_N
+    for N in range(1, 13):
+        squares = word_measure_exact(parse("x^2y^2"), N, budget=10**10)
+        assert word_measure_exact(parse("[x,y]"), N) == squares, N
+
+
+def test_compare_charges_both_words_before_either_sweep(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tuple was drawn")
+
+    monkeypatch.setattr(measures, "class_collapsed_tuples", refuse)
+    # xyxY alone costs (8!)^2 x 4, within 10^10; xyzxYZ costs (8!)^3 x 6
+    for pair in (("xyxY", "xyzxYZ"), ("xyzxYZ", "xyxY")):
+        with pytest.raises(BudgetExceededError, match=r"\(\|G\|=8!, r=3, max\(length, 1\)=6\)"):
+            compare_measures(*map(parse, pair), 8, budget=10**10)
+
+
+def test_character_route_charges_the_table_and_each_block_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(measures, "class_collapsed_tuples", refuse)
+    monkeypatch.setattr(measures, "_sn_characters", refuse)
+    # x^2 costs 13! x 2 and passes; y^3 costs 13! x 3
+    with pytest.raises(BudgetExceededError, match=r"\(\|G\|=13!, r=1, max\(length, 1\)=3\)"):
+        word_measure_exact(parse("x^2y^3"), 13, budget=2 * math.factorial(13))
+    # the default budget admits the table up to S23: 5,763 classes of
+    # degree at most 23, so 5,763^2 x 23 steps; S24 has 7,338
+    measures._check_character_budget(23, measures.DEFAULT_BUDGET)
+    with pytest.raises(BudgetExceededError, match=r"\(classes=7338, N=24\)$"):
+        word_measure_exact(parse("[a,b]"), 24)
+    start = time.perf_counter()
+    for N in (100, 10**9):
+        with pytest.raises(BudgetExceededError) as refusal:
+            word_measure_exact(parse("[a,b]c^2"), N)
+        assert charged(str(refusal.value)) > measures.DEFAULT_BUDGET
+    assert time.perf_counter() - start < 0.5
+
+
+def test_character_refusals_print_factors_past_the_budget():
+    refusals = 0
+    words = [parse(t) for t in ("[a,b]", "x^2y^3", "[a,b][c,d]")]
+    for w, N, budget in itertools.product(words, range(1, 6), range(200)):
+        try:
+            word_measure_exact(w, N, budget)
+        except BudgetExceededError as e:
+            refusals += 1
+            assert charged(str(e)) > budget, str(e)
+    assert refusals > 500

@@ -365,3 +365,23 @@ def _timed(f, *args):
     t0 = time.perf_counter()
     f(*args)
     return time.perf_counter() - t0
+
+
+# -- blocks in disjoint letters ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,count",
+    [("1", 1), ("a", 1), ("abAB", 1), ("abaB", 1), ("aabbb", 2), ("aabbcc", 3),
+     ("abABcdCD", 2), ("bABcdCDa", 2), ("cdCDaabb", 3), ("xyxz", 2), ("aacdCDabb", 2),
+     ("abcABC", 1)],
+)
+def test_disjoint_blocks_split_a_rotation_into_disjoint_arcs(text, count):
+    letters = parse(text).letters
+    blocks = word_module.disjoint_blocks(letters)
+    assert len(blocks) == count
+    joined = tuple(itertools.chain.from_iterable(blocks))
+    assert len(joined) == len(letters) and joined in [
+        letters[k:] + letters[:k] for k in range(max(len(letters), 1))]
+    gens = [{g for g, _ in block} for block in blocks]
+    assert all(not (a & b) for a, b in itertools.combinations(gens, 2))
