@@ -8,7 +8,8 @@ exact values are printed as integer numerator/denominator pairs.
 
 The parser is built from one table: a new subcommand is one row of
 `COMMANDS` plus one `cmd_*` handler, and each shared argument (`WORD`,
-`GENS`, `N`, `BUDGET`, ...) is declared once.
+`GENS`, `N`, `BUDGET`, ...) is declared once.  A run builds only the row
+its argv names (`main`); `build_parser()` still builds every row.
 
 Exit codes: 0 success; 2 usage or word-syntax error; 3 hypothesis
 violation (the named hypothesis is echoed); 4 budget exceeded;
@@ -662,7 +663,9 @@ def _add(parser, spec):
         parser.add_argument(flag, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: list[Command] = COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the six groups, holding the subparsers of `commands`
+    (by default every row of the table)."""
     ap = argparse.ArgumentParser(
         prog="wordmaps",
         description="Exact word measures on symmetric and finite groups, "
@@ -674,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         name: top.add_parser(name, help=text).add_subparsers(dest="subcommand", required=True)
         for name, text in GROUPS.items()
     }
-    for cmd in COMMANDS:
+    for cmd in commands:
         p = groups[cmd.group].add_parser(cmd.name, help=cmd.help)
         specs = [*cmd.args, OUT]
         if cmd.formats:
@@ -695,7 +698,15 @@ def _validate(args):
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    """Run the command argv names (by default sys.argv[1:]).  When its
+    first two words name a command, the parser holds only that command's
+    subparser: the help, usage errors and parse are those of the full
+    parser, since argparse reads no other subparser, and every group
+    stays for the top-level usage line.  Any other argv gets the full
+    parser."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    named = [cmd for cmd in COMMANDS if [cmd.group, cmd.name] == argv[:2]]
+    ap = build_parser(named or COMMANDS)
     try:
         try:
             args = ap.parse_args(argv)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import stallings
 from .errors import BudgetExceededError, HypothesisError, InternalInvariantError
@@ -127,8 +127,7 @@ def _is_free_factor_of_ambient(M: CoreGraph, k: int) -> bool:
     return True
 
 
-@dataclass
-class ExtensionPoset:
+class ExtensionPoset(NamedTuple):
     """The quotient set of a core graph with its free-factor marks: the
     keys of `ff_marks` are the strict inclusions (i, j), nodes[i] < nodes[j],
     and each value says whether nodes[i] is a free factor of nodes[j]."""

@@ -41,14 +41,14 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import wordmaps
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .words import Word, disjoint_blocks, whitehead_minimal
+from .words import Frozen, Word, disjoint_blocks, whitehead_minimal
 
 CAYLEY_ORDER_CAP = 64
 # Points per Monte Carlo block: CPython shares the ints 0..255, so a block
@@ -163,6 +163,15 @@ def _orbit_reps(pool, orbit_of) -> list[tuple[object, int]]:
 
 
 @functools.cache
+def _sn_classes(N: int) -> tuple[tuple[Perm, Perm, int], ...]:
+    """(c, c^-1, class size) per class of S_N, in partition order, for
+    `class_collapsed_tuples` at r = 1; kept per degree for the life of
+    the process."""
+    reps = [(_class_rep(lam), _class_size(lam, N)) for lam in _partitions(N)]
+    return tuple((c, invert(c), size) for c, size in reps)
+
+
+@functools.cache
 def _sn_pair_orbits(N: int):
     """(pool, inverses, orbits) for S_N, with orbits as in
     `FiniteGroupTable.pair_orbits`; kept per degree for the life of the
@@ -209,8 +218,7 @@ def class_collapsed_tuples(group: "int | FiniteGroupTable", r: int):
         if table:
             classes = [(cls[0], group.inverse[cls[0]], len(cls)) for cls in group.conjugacy_classes]
         else:
-            reps = [(_class_rep(lam), _class_size(lam, group)) for lam in _partitions(group)]
-            classes = [(c, invert(c), size) for c, size in reps]
+            classes = _sn_classes(group)
         for c, c_inv, size in classes:
             yield size, (c,), (c_inv,)
         return
@@ -341,8 +349,7 @@ def _closure(table, elems) -> set[int]:
     return reached
 
 
-@dataclass(frozen=True)
-class FiniteGroupTable:
+class FiniteGroupTable(Frozen):
     """A finite group presented by its full multiplication table.
 
     Element 0 must be the identity.  The order cap, then the order and
@@ -352,9 +359,13 @@ class FiniteGroupTable:
     |S| <= log2(n) for a group, instead of n^3.
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...] = field(default=())
+    _fields = ("order", "table", "names")
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], names: tuple[str, ...] = ()):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "names", names)
+        self.__post_init__()  # through the instance: bench/tracer.py wraps it on the class
 
     def __post_init__(self):
         n = self.order
@@ -597,12 +608,14 @@ def _character_measure(N: int, factors) -> MeasureTable:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeasureTable:
+class MeasureTable(Frozen):
     """Class-aggregated exact distribution of a word's image."""
 
-    group: str  # "S<N>" or "cayley:<order>"
-    support: tuple[tuple[tuple[int, ...] | int, Fraction], ...]
+    _fields = ("group", "support")
+
+    def __init__(self, group: str, support: tuple[tuple[tuple[int, ...] | int, Fraction], ...]):
+        object.__setattr__(self, "group", group)  # "S<N>" or "cayley:<order>"
+        object.__setattr__(self, "support", support)
 
     @cached_property
     def as_dict(self) -> dict:
@@ -695,8 +708,7 @@ def word_measure_exact(
     return _measure_plan(w, group, budget)()
 
 
-@dataclass(frozen=True)
-class MeasureComparison:
+class MeasureComparison(NamedTuple):
     equal: bool
     witness_class: "tuple[int, ...] | int | None" = None
     prob1: Fraction | None = None

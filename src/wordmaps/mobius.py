@@ -11,8 +11,8 @@ its graph basis, as a sum over the quotients of H's graph in that basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import extensions, measures, stallings
 from .errors import HypothesisError
@@ -22,8 +22,7 @@ from .stallings import CoreGraph
 from .words import Word, maximal_root, substitute
 
 
-@dataclass
-class DerivationTable:
+class DerivationTable(NamedTuple):
     poset: ExtensionPoset
     values: dict[int, Fraction]  # poset node index -> R_{H,node}(N)
     phi: dict[int, Fraction]  # poset node index -> Phi_{H,node}(N)
@@ -67,8 +66,7 @@ def phi_via_expansion(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     pi_estimate: float  # may be math.inf
     c_estimate: float
     residuals: list[float]
@@ -113,16 +111,14 @@ def fit_expansion(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class InequalityRow:
+class InequalityRow(NamedTuple):
     N: int
     lhs: Fraction  # Tr_w(N)
     rhs: Fraction  # Tr_{w(u_1..u_k)}(N)
     strict: bool
 
 
-@dataclass
-class InequalityReport:
+class InequalityReport(NamedTuple):
     word: str
     images: list[str]
     pi_iota: float
@@ -176,8 +172,7 @@ def divisor_count(d: int) -> int:
     return sum(1 for i in range(1, d + 1) if d % i == 0)
 
 
-@dataclass
-class PowerGapRow:
+class PowerGapRow(NamedTuple):
     N: int
     tr_u: Fraction
     tr_ud: Fraction
@@ -185,8 +180,7 @@ class PowerGapRow:
     deviation: Fraction  # gap - (delta(d) - 1)
 
 
-@dataclass
-class PowerGapReport:
+class PowerGapReport(NamedTuple):
     word: str
     d: int
     delta: int

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import HypothesisError, InternalInvariantError
 from .measures import (  # evaluate_word is re-exported: bench/tracer.py wraps it here
@@ -29,8 +29,7 @@ from .words import Word, is_dth_power_in_free
 OBSTRUCTION_EXHAUSTIVE_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(NamedTuple):
     degree: int
     counts: tuple[tuple[int, int], ...]  # (cycle length t, multiplicity c_t)
 
@@ -147,8 +146,7 @@ def moments_exact(b: int, t: int, N: int) -> tuple[Fraction, Fraction]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     word: str
     d: int
     witness_degree: int | None

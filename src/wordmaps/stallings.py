@@ -10,24 +10,25 @@ edge into a vertex w > 0 is its least edge to a vertex v < w.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import BudgetExceededError, InternalInvariantError
-from .words import Letter, Word, free_reduce
+from .words import Frozen, Letter, Record, Word, free_reduce
 
 Edge = tuple[int, int, int]  # (tail, label, head)
 
 DEFAULT_VERTEX_CAP = 12
 
 
-@dataclass
-class PreGraph:
+class PreGraph(Record):
     """A mutable, possibly unfolded labeled digraph with base vertex 0."""
 
-    ambient_rank: int
-    num_vertices: int = 1
-    edges: list[Edge] = field(default_factory=list)
+    _fields = ("ambient_rank", "num_vertices", "edges")
+
+    def __init__(self, ambient_rank: int, num_vertices: int = 1, edges: list[Edge] | None = None):
+        self.ambient_rank = ambient_rank
+        self.num_vertices = num_vertices
+        self.edges = [] if edges is None else edges
 
     def new_vertex(self) -> int:
         self.num_vertices += 1
@@ -50,13 +51,15 @@ class PreGraph:
             cur = nxt
 
 
-@dataclass(frozen=True)
-class CoreGraph:
+class CoreGraph(Frozen):
     """An immutable folded, pruned, canonically numbered core graph."""
 
-    ambient_rank: int
-    num_vertices: int
-    edges: tuple[Edge, ...]
+    _fields = ("ambient_rank", "num_vertices", "edges")
+
+    def __init__(self, ambient_rank: int, num_vertices: int, edges: tuple[Edge, ...]):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def rank(self) -> int:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import WordSyntaxError
 
@@ -31,24 +30,70 @@ def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class Word:
+class Record:
+    """Base of the package's plain value classes: repr and == (between
+    instances of one class) follow `_fields`, the constructor's arguments
+    in order, as a dataclass generates them.  As for a dataclass that is
+    not frozen, instances do not hash."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class Frozen(Record):
+    """An immutable Record, as a frozen dataclass: it hashes as the tuple
+    of its fields, assigning or deleting an attribute raises
+    AttributeError, and so `__init__` sets its fields with
+    `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(Frozen):
     """An immutable freely reduced word in F_r."""
 
+    __slots__ = _fields = ("ambient_rank", "letters")
     ambient_rank: int
-    letters: tuple[Letter, ...] = field(default=())
+    letters: tuple[Letter, ...]
 
-    def __post_init__(self):
-        if not (1 <= self.ambient_rank <= MAX_RANK):
+    def __init__(self, ambient_rank: int, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "letters", letters)
+        if not (1 <= ambient_rank <= MAX_RANK):
             raise ValueError(f"ambient rank must be in 1..{MAX_RANK}")
-        for g, s in self.letters:
-            if not (1 <= g <= self.ambient_rank):
-                raise ValueError(f"generator index {g} exceeds rank {self.ambient_rank}")
+        for g, s in letters:
+            if not (1 <= g <= ambient_rank):
+                raise ValueError(f"generator index {g} exceeds rank {ambient_rank}")
             if s not in (1, -1):
                 raise ValueError("letter sign must be +1 or -1")
-        for (g1, s1), (g2, s2) in zip(self.letters, self.letters[1:]):
+        for (g1, s1), (g2, s2) in zip(letters, letters[1:]):
             if g1 == g2 and s1 == -s2:
                 raise ValueError("word is not freely reduced")
+
+    def __reduce__(self):
+        # slots are restored by assignment, which Frozen refuses
+        return Word, (self.ambient_rank, self.letters)
 
     # -- constructors -------------------------------------------------
 
@@ -351,8 +396,7 @@ def disjoint_blocks(letters: Sequence[Letter]) -> list[tuple[Letter, ...]]:
 _MULT_CODES = (0, 1, 2, 3)
 
 
-@dataclass(frozen=True)
-class WhiteheadMove:
+class WhiteheadMove(NamedTuple):
     """A Whitehead automorphism of F_rank.
 
     kind "perm": a signed permutation of the basis (type I);

@@ -8,11 +8,15 @@ holds what one sample run of each subcommand prints, and
 `golden/cli_usage_errors.json` the stderr and exit code of argparse
 usage errors.  The width of argparse's output follows COLUMNS, so every
 test here fixes it at 80.
+
+`cli.main` builds only the subparser of the command its argv names; the
+tests at the end hold that parser to the full one.
 """
 import argparse
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,15 +63,16 @@ def _action(parser: argparse.ArgumentParser, action: argparse.Action) -> dict:
     }
 
 
+def _signature(parser: argparse.ArgumentParser) -> list:
+    return [parser.prog, parser.format_usage(), [_action(parser, a) for a in parser._actions]]
+
+
 def signature() -> list:
     """[prog, usage line, actions] for each parser, in parser order."""
-    return [
-        [p.prog, p.format_usage(), [_action(p, a) for a in p._actions]]
-        for p in _parsers(cli.build_parser())
-    ]
+    return [_signature(p) for p in _parsers(cli.build_parser())]
 
 
-def run(argv: list[str]) -> dict:
+def run(argv: list[str] | None) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -98,3 +103,38 @@ def test_subcommand_sample_prints_the_golden_bytes(tmp_path, monkeypatch, comman
 @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
 def test_usage_error_keeps_its_stderr_and_exit_code(case):
     assert run(USAGE_ERRORS[case]) == _golden("cli_usage_errors.json")[case]
+
+
+# -- the parser main builds -------------------------------------------
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS), ids="-".join)
+def test_main_builds_only_the_named_subparser(monkeypatch, command):
+    # its help is the full parser's, and the top level and the command
+    # keep their golden signatures
+    full = {p.prog: p for p in _parsers(cli.build_parser())}
+    built, build = [], cli.build_parser
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording_build)
+    prog = " ".join(["wordmaps", *command])
+    argv = [*command, "--help"]
+    assert run(argv) == {"argv": argv, "exit": 0, "stdout": full[prog].format_help(), "stderr": ""}
+    [parser] = built
+    parsers = {p.prog: p for p in _parsers(parser)}
+    assert sorted(parsers) == sorted(["wordmaps", prog, *(f"wordmaps {g}" for g in cli.GROUPS)])
+    golden = {entry[0]: entry for entry in _golden("cli_signature.json")}
+    assert _signature(parsers["wordmaps"]) == golden["wordmaps"]
+    assert _signature(parsers[prog]) == golden[prog]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS), ids="-".join)
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, command):
+    # as the `wordmaps` console script calls it
+    monkeypatch.chdir(tmp_path)
+    want = run_sample(command)
+    monkeypatch.setattr(sys, "argv", ["wordmaps", *want["argv"]])
+    assert run(None) == {**want, "argv": None}

@@ -584,3 +584,20 @@ def test_poset_json_and_dot():
     assert '"algebraic": true' in js
     dot = poset.to_dot()
     assert dot.startswith("digraph") and "doublecircle" in dot
+
+
+# -- value classes ----------------------------------------------------
+
+
+def test_extension_poset_keeps_its_dataclass_contract():
+    poset = extensions.algebraic_extensions(from_generators([parse("a^2")], 1))
+    nodes = [rose(1), from_generators([parse("a^2")], 1)]
+    assert repr(poset) == (
+        "ExtensionPoset(nodes=[CoreGraph(ambient_rank=1, num_vertices=1, edges=((0, 1, 0),)), "
+        "CoreGraph(ambient_rank=1, num_vertices=2, edges=((0, 1, 1), (1, 1, 0)))], "
+        "base_index=1, ff_marks={(1, 0): False}, alg_marks=[True, True])"
+    )
+    assert poset == extensions.ExtensionPoset(nodes, 1, {(1, 0): False}, [True, True])
+    assert poset == extensions.ExtensionPoset(
+        nodes=nodes, base_index=1, ff_marks={(1, 0): False}, alg_marks=[True, True]
+    )

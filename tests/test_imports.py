@@ -84,9 +84,9 @@ def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
-def loaded_by_cli(*argv: str, cwd=None) -> set[str]:
-    """wordmaps modules loaded by `python -m wordmaps.cli ARGV`, as they
-    stand when the interpreter exits."""
+def modules_loaded_by_cli(*argv: str, cwd=None) -> set[str]:
+    """Every module loaded by `python -m wordmaps.cli ARGV`, standard
+    library included, as they stand when the interpreter exits."""
     script = (
         "import atexit, json, runpy, sys; "
         "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(sys.modules)))); "
@@ -94,7 +94,18 @@ def loaded_by_cli(*argv: str, cwd=None) -> set[str]:
     )
     proc = python("-c", script, *argv, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    return {m for m in json.loads(proc.stderr) if m.startswith("wordmaps.")}
+    return set(json.loads(proc.stderr))
+
+
+def loaded_by_cli(*argv: str, cwd=None) -> set[str]:
+    """wordmaps modules loaded by `python -m wordmaps.cli ARGV`."""
+    return {m for m in modules_loaded_by_cli(*argv, cwd=cwd) if m.startswith("wordmaps.")}
+
+
+# Modules that no run of the CLI needs: `dataclasses` (which loads
+# `inspect`, `ast`, `dis`, `tokenize`, ...) and `inspect` cost a run
+# milliseconds of start-up.
+UNNEEDED = {"dataclasses", "inspect"}
 
 
 # -- import graph -----------------------------------------------------
@@ -119,6 +130,12 @@ def test_import_wordmaps_cli_loads_only_errors_and_words():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["wordmaps", "wordmaps.cli", "wordmaps.errors",
                                        "wordmaps.words"]
+
+
+def test_import_wordmaps_cli_loads_neither_dataclasses_nor_inspect():
+    proc = python("-c", "import json, sys, wordmaps.cli; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert not set(json.loads(proc.stdout)) & UNNEEDED
 
 
 def function_local_imports(path: Path) -> list[str]:
@@ -278,12 +295,16 @@ LOADS = {
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS), ids="-".join)
 def test_subcommand_runs_in_a_fresh_process(tmp_path, command):
-    # it writes its artifact and loads exactly the modules LOADS lists
+    # it writes its artifact, loads exactly the wordmaps modules LOADS
+    # lists, and loads neither dataclasses nor inspect
     (tmp_path / "z3.json").write_text(json.dumps(CAYLEY_Z3))
-    loaded = loaded_by_cli(*command, *SUBCOMMANDS[command], "--out", "artifact", cwd=tmp_path)
+    modules = modules_loaded_by_cli(
+        *command, *SUBCOMMANDS[command], "--out", "artifact", cwd=tmp_path
+    )
     assert (tmp_path / "artifact").read_text().strip()
     want = {"errors", "words", *LOADS[command].split()}
-    assert loaded == {f"wordmaps.{m}" for m in want}
+    assert {m for m in modules if m.startswith("wordmaps.")} == {f"wordmaps.{m}" for m in want}
+    assert not modules & UNNEEDED
 
 
 @pytest.mark.parametrize("group", [None, "word", "graph", "ext", "measure", "mobius", "perm"])

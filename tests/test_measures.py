@@ -985,3 +985,60 @@ def test_character_refusals_print_factors_past_the_budget():
             refusals += 1
             assert charged(str(e)) > budget, str(e)
     assert refusals > 500
+
+
+# -- value classes ----------------------------------------------------
+
+
+def test_finite_group_table_keeps_its_frozen_dataclass_contract(monkeypatch):
+    T = ((0, 1), (1, 0))
+    G = FiniteGroupTable.cyclic(2)
+    assert repr(G) == "FiniteGroupTable(order=2, table=((0, 1), (1, 0)), names=('g0', 'g1'))"
+    assert G == FiniteGroupTable(2, T, ("g0", "g1")) == FiniteGroupTable(order=2, table=T,
+                                                                         names=("g0", "g1"))
+    assert FiniteGroupTable(2, T) == FiniteGroupTable(2, T, ()) != G
+    G.inverse  # cached state plays no part in == or the hash
+    assert hash(G) == hash(FiniteGroupTable(2, T, ("g0", "g1"))) == hash((2, T, ("g0", "g1")))
+    with pytest.raises(AttributeError):
+        G.order = 3
+    # the checks run as `__post_init__`, looked up on the instance
+    checked = []
+    monkeypatch.setattr(FiniteGroupTable, "__post_init__", lambda self: checked.append(self))
+    assert FiniteGroupTable(2, ((0, 0), (0, 0))) in checked
+
+
+def test_measure_table_and_comparison_keep_their_frozen_dataclass_contract():
+    support = (((1, 1), Fraction(1, 2)), ((2,), Fraction(1, 2)))
+    m = measures.MeasureTable("S2", support)
+    assert repr(m) == (
+        "MeasureTable(group='S2', support=(((1, 1), Fraction(1, 2)), ((2,), Fraction(1, 2))))"
+    )
+    assert m == measures.MeasureTable(group="S2", support=support) == word_measure_exact(
+        parse("x"), 2
+    )
+    assert hash(m) == hash(("S2", support))
+    assert m.as_dict is m.as_dict  # cached
+    with pytest.raises(AttributeError):
+        m.group = "S3"
+    c = measures.MeasureComparison(False, (2,), Fraction(1, 2), Fraction(0))
+    assert repr(c) == (
+        "MeasureComparison(equal=False, witness_class=(2,), prob1=Fraction(1, 2), "
+        "prob2=Fraction(0, 1))"
+    )
+    assert c == measures.MeasureComparison(
+        equal=False, witness_class=(2,), prob1=Fraction(1, 2), prob2=Fraction(0)
+    )
+    assert measures.MeasureComparison(True) == measures.MeasureComparison(True, None, None, None)
+    assert hash(c) == hash((False, (2,), Fraction(1, 2), Fraction(0)))
+    with pytest.raises(AttributeError):
+        c.equal = True
+
+
+def test_sn_classes_are_built_once_per_degree(monkeypatch):
+    first = list(measures.class_collapsed_tuples(6, 1))
+
+    def refuse(lam):
+        raise AssertionError(f"class representative of {lam} rebuilt")
+
+    monkeypatch.setattr(measures, "_class_rep", refuse)
+    assert list(measures.class_collapsed_tuples(6, 1)) == first

@@ -175,3 +175,34 @@ def test_power_gap_rejects_d_zero():
 
 def test_divisor_count():
     assert [mobius.divisor_count(d) for d in (1, 2, 3, 4, 6, 12)] == [1, 2, 2, 3, 4, 6]
+
+
+# -- value classes ----------------------------------------------------
+
+
+# each record class, its fields in constructor order and its dataclass-format repr
+RECORDS = [
+    (mobius.DerivationTable, {"poset": None, "values": {0: Fraction(1)}, "phi": {}},
+     "DerivationTable(poset=None, values={0: Fraction(1, 1)}, phi={})"),
+    (mobius.FitResult, {"pi_estimate": 2.0, "c_estimate": 1.0, "residuals": [0.0],
+                        "pi_combinatorial": 2, "c_combinatorial": 1, "traces": [(3, 1)]},
+     "FitResult(pi_estimate=2.0, c_estimate=1.0, residuals=[0.0], pi_combinatorial=2, "
+     "c_combinatorial=1, traces=[(3, 1)])"),
+    (mobius.InequalityRow, {"N": 3, "lhs": 1, "rhs": 2, "strict": True},
+     "InequalityRow(N=3, lhs=1, rhs=2, strict=True)"),
+    (mobius.InequalityReport, {"word": "a", "images": ["b"], "pi_iota": 2, "count": 1,
+                               "rows": []},
+     "InequalityReport(word='a', images=['b'], pi_iota=2, count=1, rows=[])"),
+    (mobius.PowerGapRow, {"N": 3, "tr_u": 1, "tr_ud": 2, "gap": 1, "deviation": 0},
+     "PowerGapRow(N=3, tr_u=1, tr_ud=2, gap=1, deviation=0)"),
+    (mobius.PowerGapReport, {"word": "a", "d": 2, "delta": 2, "rows": []},
+     "PowerGapReport(word='a', d=2, delta=2, rows=[])"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_records_keep_their_dataclass_contract(cls, fields, text):
+    record = cls(*fields.values())
+    assert repr(record) == text
+    assert record == cls(**fields)
+    assert [getattr(record, name) for name in fields] == list(fields.values())

@@ -294,3 +294,32 @@ def test_root_soundness(perm, d):
 def test_power_is_always_a_power(perm, d):
     p = power_of_permutation(tuple(perm), d)
     assert is_dth_power(p, d)
+
+
+# -- value classes ----------------------------------------------------
+
+
+def test_cycle_type_keeps_its_frozen_dataclass_contract():
+    ct = cycle_type((1, 2, 0, 3))
+    assert repr(ct) == "CycleType(degree=4, counts=((1, 1), (3, 1)))"
+    assert ct == perm_powers.CycleType(4, ((1, 1), (3, 1)))
+    assert ct == perm_powers.CycleType(degree=4, counts=((1, 1), (3, 1)))
+    assert (ct.count(3), ct.count(2), str(ct)) == (1, 0, "1^1 3^1")
+    assert hash(ct) == hash((4, ((1, 1), (3, 1))))
+    with pytest.raises(AttributeError):
+        ct.degree = 5
+
+
+def test_obstruction_verdict_keeps_its_frozen_dataclass_contract():
+    v = word_power_obstruction(parse("x^2"), 2, [2, 3], seed=0)
+    assert repr(v) == (
+        "ObstructionVerdict(word='aa', d=2, witness_degree=None, witness_tuple=None, "
+        "searched=(2, 3), is_power_in_free_group=True)"
+    )
+    fields = ("aa", 2, None, None, (2, 3), True)
+    assert v == ObstructionVerdict(*fields)
+    assert v == ObstructionVerdict(word="aa", d=2, witness_degree=None, witness_tuple=None,
+                                   searched=(2, 3), is_power_in_free_group=True)
+    assert hash(v) == hash(fields) and not v.conclusive
+    with pytest.raises(AttributeError):
+        v.d = 3

@@ -281,3 +281,30 @@ def test_rank_bounded_by_generators(texts):
     gens = [parse(t, 2) for t in texts]
     g = from_generators(gens, 2)
     assert 0 <= g.rank <= len(gens)
+
+
+# -- value classes ----------------------------------------------------
+
+
+def test_pre_graph_keeps_its_dataclass_contract():
+    assert repr(PreGraph(2)) == "PreGraph(ambient_rank=2, num_vertices=1, edges=[])"
+    assert PreGraph(2).edges is not PreGraph(2).edges
+    g = PreGraph(2)
+    g.add_word_loop(parse("ab"))
+    assert g == PreGraph(2, 2, [(0, 1, 1), (1, 2, 0)])
+    assert g == PreGraph(ambient_rank=2, num_vertices=2, edges=[(0, 1, 1), (1, 2, 0)])
+    assert g != PreGraph(2)
+    with pytest.raises(TypeError):
+        hash(g)
+
+
+def test_core_graph_keeps_its_frozen_dataclass_contract():
+    g = from_generators([parse("ab")], 2)
+    assert repr(g) == "CoreGraph(ambient_rank=2, num_vertices=2, edges=((0, 1, 1), (1, 2, 0)))"
+    assert g == CoreGraph(2, 2, ((0, 1, 1), (1, 2, 0)))
+    assert g == CoreGraph(ambient_rank=2, num_vertices=2, edges=((0, 1, 1), (1, 2, 0)))
+    assert hash(g) == hash(CoreGraph(2, 2, g.edges))
+    with pytest.raises(AttributeError):
+        g.edges = ()
+    assert g.out_map == {(0, 1): 1, (1, 2): 0}  # a cached property still caches
+    assert g.out_map is g.out_map

@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import pickle
 import random
 import time
 
@@ -385,3 +387,35 @@ def test_disjoint_blocks_split_a_rotation_into_disjoint_arcs(text, count):
         letters[k:] + letters[:k] for k in range(max(len(letters), 1))]
     gens = [{g for g, _ in block} for block in blocks]
     assert all(not (a & b) for a, b in itertools.combinations(gens, 2))
+
+
+# -- value classes ----------------------------------------------------
+
+
+def test_word_keeps_its_frozen_dataclass_contract():
+    letters = ((1, 1), (2, -1))
+    w = Word(2, letters)
+    assert repr(w) == "Word(ambient_rank=2, letters=((1, 1), (2, -1)))"
+    assert w == Word(ambient_rank=2, letters=letters) == Word(2, letters=letters)
+    assert Word(2) == Word(2, ()) != Word(3)
+    assert w != (2, letters)
+    assert hash(w) == hash((2, letters))
+    for name in ("ambient_rank", "letters"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    assert copy.copy(w) == pickle.loads(pickle.dumps(w)) == w
+
+
+def test_whitehead_move_keeps_its_frozen_dataclass_contract():
+    m = WhiteheadMove(2, "mult", multiplier=(1, -1), codes=(0, 3))
+    assert repr(m) == (
+        "WhiteheadMove(rank=2, kind='mult', perm=None, signs=None, multiplier=(1, -1), "
+        "codes=(0, 3))"
+    )
+    assert m == WhiteheadMove(2, "mult", None, None, (1, -1), (0, 3))
+    assert m == WhiteheadMove(rank=2, kind="mult", multiplier=(1, -1), codes=(0, 3))
+    assert hash(m) == hash((2, "mult", None, None, (1, -1), (0, 3)))
+    with pytest.raises(AttributeError):
+        m.codes = (0, 0)
