@@ -51,18 +51,22 @@ def is_free_factor(M: CoreGraph, J: CoreGraph) -> bool:
     4. Otherwise M <=_ff J iff M <=_ff I for the image subgraph I (a
        free factor of J by step 3; a free factor of J inside I is one
        of I by Kurosh), and rank M >= rank I gives False as in step 2.
-    5. Otherwise the Whitehead descent on M rewritten in a basis of I,
-       whose rank, at most rank J, must not pass DEFAULT_RANK_CAP.
+    5. Otherwise the Whitehead descent on M rewritten in a basis of I.
+       Its rank, at most rank J, must not pass DEFAULT_RANK_CAP; the
+       pair is refused as soon as step 4 has computed it.
     """
     f = stallings.morphism(M, J)
     if f is None:
         raise ValueError("M is not a subgroup of J")
-    return _decide([(M, J, f)])[0]
+    return _settle(_reduce(M, J, f))
 
 
 def _reduce(M: CoreGraph, J: CoreGraph, f: list[int]) -> bool | CoreGraph:
     """Steps 1-4 of `is_free_factor`: the answer, or M rewritten in a
-    basis of its image subgraph, the graph that the descent must take."""
+    basis of its image subgraph, the graph that the descent must take.
+    A pair whose descent would pass the rank cap is refused here, so a
+    caller that reduces all its pairs before settling any is refused
+    before any descent runs."""
     if M == J or M.rank == 0:
         return True
     if M.rank >= J.rank:
@@ -72,6 +76,10 @@ def _reduce(M: CoreGraph, J: CoreGraph, f: list[int]) -> bool | CoreGraph:
     image = stallings.image(M, f)
     if M.rank >= image.rank:
         return False
+    if image.rank > DEFAULT_RANK_CAP:
+        raise BudgetExceededError(
+            f"free-factor search at image rank {image.rank} exceeds the cap {DEFAULT_RANK_CAP}"
+        )
     gens = [stallings.rewrite_in_basis(image, b) for b in stallings.basis(M)]
     inner = stallings.from_generators(gens, image.rank)
     if inner.rank != M.rank:
@@ -79,28 +87,9 @@ def _reduce(M: CoreGraph, J: CoreGraph, f: list[int]) -> bool | CoreGraph:
     return inner
 
 
-def _check_rank_cap(reduced: list[bool | CoreGraph]) -> None:
-    """Refuse reduced pairs whose descent would pass the rank cap, before
-    any of their descents runs."""
-    k = max((g.ambient_rank for g in reduced if not isinstance(g, bool)), default=0)
-    if k > DEFAULT_RANK_CAP:
-        raise BudgetExceededError(
-            f"free-factor search at image rank {k} exceeds the cap {DEFAULT_RANK_CAP}"
-        )
-
-
 def _settle(g: bool | CoreGraph) -> bool:
     """The answer to a reduced pair, by its descent when it needs one."""
     return g if isinstance(g, bool) else _is_free_factor_of_ambient(g, g.ambient_rank)
-
-
-def _decide(pairs: list[tuple[CoreGraph, CoreGraph, list[int]]]) -> list[bool]:
-    """M <=_ff J for each (M, J, morphism) pair.  Every pair is reduced
-    first, so a descent over the rank cap stops the call before any
-    descent runs."""
-    reduced = [_reduce(M, J, f) for M, J, f in pairs]
-    _check_rank_cap(reduced)
-    return [_settle(g) for g in reduced]
 
 
 @functools.cache
@@ -182,20 +171,21 @@ def algebraic_extensions(H: CoreGraph) -> ExtensionPoset:
     A quotient J is algebraic iff no other quotient A with A <= J is a
     proper free factor of J; filtering inside the quotient set is sound
     because the free-factor closure of H inside any such A is itself a
-    quotient of Gamma(H).
+    quotient of Gamma(H).  Each pair is reduced as soon as its morphism
+    is found, and every pair before any descent; so a pair over the rank
+    cap refuses the poset before any descent runs.
     """
     nodes = stallings.quotients(H)
     base_index = next(
         i for i, g in enumerate(nodes) if g.canonical_key == H.canonical_key
     )
-    maps = {
-        (i, j): f
+    reduced = {
+        (i, j): _reduce(A, J, f)
         for i, A in enumerate(nodes)
         for j, J in enumerate(nodes)
         if i != j and (f := stallings.morphism(A, J)) is not None
     }
-    marks = _decide([(nodes[i], nodes[j], f) for (i, j), f in maps.items()])
-    ff_marks = dict(zip(maps, marks))
+    ff_marks = {ij: _settle(g) for ij, g in reduced.items()}
     has_proper_ff = {j for (_, j), ff in ff_marks.items() if ff}
     alg_marks = [j not in has_proper_ff for j in range(len(nodes))]
     return ExtensionPoset(nodes, base_index, ff_marks, alg_marks)
@@ -204,12 +194,12 @@ def algebraic_extensions(H: CoreGraph) -> ExtensionPoset:
 def _least_rank(candidates, pairs_of, wins) -> tuple[float, list[CoreGraph]]:
     """The least rank of the candidates that holds a winner, with its
     winners in candidate order, or (inf, []).  A rank's pairs_of pairs are
-    all reduced, and the cap checked, before its descents; wins reads each
-    candidate's answers lazily, so its descents stop where wins stops."""
+    all reduced, so a pair over the rank cap refuses the rank before its
+    descents; wins reads each candidate's answers lazily, so its descents
+    stop where wins stops."""
     for m in sorted({J.rank for J in candidates}):
         layer = [J for J in candidates if J.rank == m]
         reduced = [[_reduce(*pair) for pair in pairs_of(J)] for J in layer]
-        _check_rank_cap([g for gs in reduced for g in gs])
         winners = [J for J, gs in zip(layer, reduced) if wins(map(_settle, gs))]
         if winners:
             return m, winners

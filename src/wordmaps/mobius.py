@@ -28,11 +28,6 @@ class DerivationTable(NamedTuple):
     phi: dict[int, Fraction]  # poset node index -> Phi_{H,node}(N)
 
 
-def _phi_of_node(H: CoreGraph, J: CoreGraph, N: int, budget: int) -> Fraction:
-    gens = [stallings.rewrite_in_basis(J, b) for b in stallings.basis(H)]
-    return measures.phi_exact(gens, J.rank, N, budget=budget)
-
-
 def derive_R(H: CoreGraph, N: int, budget: int = DEFAULT_BUDGET) -> DerivationTable:
     """Compute R_{H,J}(N) for every algebraic extension J of H."""
     poset = extensions.algebraic_extensions(H)
@@ -42,7 +37,9 @@ def derive_R(H: CoreGraph, N: int, budget: int = DEFAULT_BUDGET) -> DerivationTa
     phis: dict[int, Fraction] = {}
     # topological order by number of algebraic predecessors
     for j in sorted(alg, key=lambda j: len(below[j])):
-        phis[j] = _phi_of_node(H, poset.nodes[j], N, budget)
+        J = poset.nodes[j]
+        gens = [stallings.rewrite_in_basis(J, b) for b in stallings.basis(H)]
+        phis[j] = measures.phi_exact(gens, J.rank, N, budget=budget)
         values[j] = phis[j] - sum((values[i] for i in below[j]), Fraction(0))
     return DerivationTable(poset, values, phis)
 

@@ -326,28 +326,15 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return Word(w.ambient_rank, tuple(letters)), Word(w.ambient_rank, tuple(conj))
 
 
-def _smallest_period(seq: Sequence[Letter]) -> int:
-    # failure-function (KMP) smallest period; falls back to the full length
-    # when the candidate does not divide it.
-    n = len(seq)
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k > 0 and seq[i] != seq[k]:
-            k = fail[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        fail[i] = k
-    p = n - fail[n - 1]
-    return p if n % p == 0 else n
-
-
 def maximal_root(w: Word) -> tuple[Word, int]:
     """Write w = u^b with u not a proper power (b maximal)."""
     if w.is_identity:
         raise ValueError("the identity word has no maximal root")
     core, conj = cyclic_reduce(w)
-    p = _smallest_period(core.letters)
+    # the least rotation fixing the cyclic core is its period, a divisor
+    # of its length
+    t = "".join(chr(2 * g + (s < 0)) for g, s in core.letters)
+    p = (t + t).find(t, 1)
     b = len(core) // p
     u = Word(w.ambient_rank, core.letters[:p]).conjugate_by(conj)
     return u, b

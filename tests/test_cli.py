@@ -366,6 +366,16 @@ def test_rank_cap_exits_before_any_search(capsys):
     assert err == "budget exceeded: free-factor search at image rank 5 exceeds the cap 4\n"
 
 
+def test_rank_cap_refuses_a_twelve_vertex_poset_in_seconds(capsys):
+    # 2,453 quotients: the first pair over the cap stops the n^2 loop of
+    # morphisms, and the message names its image rank
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "ext", "ae", "--gens", "aaababbabbab", "--rank", "2")
+    assert time.perf_counter() - t0 < 5
+    assert rc == 4 and out == ""
+    assert err == "budget exceeded: free-factor search at image rank 5 exceeds the cap 4\n"
+
+
 def test_pi_of_a_twelve_vertex_power_answers_in_seconds(capsys):
     # pi stops at rank 1, where <[a,b]> is algebraic, and never reaches
     # the ranks that pass the cap

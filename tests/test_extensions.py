@@ -280,8 +280,11 @@ def test_rank_cap_applies_to_the_image():
 
 def test_rank_cap_stops_the_poset_before_any_search(monkeypatch):
     monkeypatch.setattr(extensions, "_is_free_factor_of_ambient", _unreachable)
-    with pytest.raises(BudgetExceededError, match="image rank 5 exceeds the cap 4"):
-        extensions.algebraic_extensions(graph(["[a,b]^2"], 2))
+    # aaababbabbab: the image graph of a^3b^3 under a -> a, b -> bab, whose
+    # first capped pair has image rank 5 and its largest rank 7
+    for gens in ["[a,b]^2"], ["aaababbabbab"]:
+        with pytest.raises(BudgetExceededError, match="image rank 5 exceeds the cap 4"):
+            extensions.algebraic_extensions(graph(gens, 2))
 
 
 # -- algebraic extensions ---------------------------------------------

@@ -141,6 +141,21 @@ def test_maximal_root_examples():
     assert maximal_root(parse("[x,y]")) == (parse("[x,y]"), 1)
     u, b = maximal_root(parse("Ab^6a", 2))
     assert (str(u), b) == ("Aba", 6)
+    # seeded powers of conjugated words, against the brute-force period:
+    # the least p dividing n whose rotation fixes the cyclic core
+    rng = random.Random(7)
+    for _ in range(300):
+        raw = [(rng.randint(1, 2), rng.choice((1, -1))) for _ in range(rng.randint(1, 6))]
+        c = Word(2, word_module.free_reduce(raw[: rng.randint(0, 2)]))
+        w = (Word(2, word_module.free_reduce(raw)) ** rng.randint(1, 4)).conjugate_by(c)
+        if w.is_identity:
+            continue
+        core = cyclic_reduce(w)[0].letters
+        n = len(core)
+        p = next(p for p in range(1, n + 1) if n % p == 0 and core[p:] + core[:p] == core)
+        u, b = maximal_root(w)
+        assert (b, len(cyclic_reduce(u)[0])) == (n // p, p)
+        assert u**b == w
 
 
 def test_is_dth_power_in_free():
