@@ -325,22 +325,12 @@ def cmd_measure_phi(args):
     emit_per_n(args, lambda N: wordmaps.measures.phi_exact(gens, args.rank, N, budget=args.budget))
 
 
-def _class_label(key, group) -> str:
-    """An S_N key is a cycle type; a Cayley table's is a class index,
-    labelled by the name of the class's least element."""
-    if isinstance(key, tuple):
-        return " ".join(str(t) for t in key)
-    return group.name_of(group.conjugacy_classes[key][0])
-
-
 def cmd_measure_table(args):
     w = parse(args.word, args.rank)
     group = parse_group(args.group)
     table = wordmaps.measures.word_measure_exact(w, group, budget=args.budget)
-    rows = [
-        [f'"{_class_label(key, group)}"'] + _frac_fields(p)
-        for key, p in table.support
-    ]
+    label = wordmaps.measures.as_group(group).class_label
+    rows = [[f'"{label(key)}"'] + _frac_fields(p) for key, p in table.support]
     emit_csv(args, ["class", "numerator", "denominator", "decimal"], rows)
 
 
@@ -352,7 +342,7 @@ def cmd_measure_compare(args):
     obj = {"equal": cmp.equal}
     if not cmp.equal:
         obj |= {
-            "witness_class": _class_label(cmp.witness_class, group),
+            "witness_class": wordmaps.measures.as_group(group).class_label(cmp.witness_class),
             "prob1": str(cmp.prob1),
             "prob2": str(cmp.prob2),
         }

@@ -2,6 +2,12 @@
 
 Exact values are arbitrary-precision rationals (`fractions.Fraction`).
 Tr_w(N) and Phi_H(N) are sums over the folded quotients of Gamma(H).
+A group is a `SymmetricGroup` (the public functions also take its
+degree, which `as_group` turns into it) or a `FiniteGroupTable`; both
+provide the sweep's `classes` and `pair_orbits`, `identity`,
+`word_image`, the `class_key` of an image, the `label` of a
+`MeasureTable`, the budget's `order_factors` and `order_text`, and
+the CLI's `class_label`.
 Word measures (but for the S_N products and commutators below), their
 comparison and epimorphism images enumerate Hom(F_r, G), for G = S_N or
 a Cayley table alike, through one serial sweep, `class_collapsed_tuples`,
@@ -35,7 +41,6 @@ are checked for associativity by Light's test on a generating set.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -162,43 +167,11 @@ def _orbit_reps(pool, orbit_of) -> list[tuple[object, int]]:
     return out
 
 
-@functools.cache
-def _sn_classes(N: int) -> tuple[tuple[Perm, Perm, int], ...]:
-    """(c, c^-1, class size) per class of S_N, in partition order, for
-    `class_collapsed_tuples` at r = 1; kept per degree for the life of
-    the process."""
-    reps = [(_class_rep(lam), _class_size(lam, N)) for lam in _partitions(N)]
-    return tuple((c, invert(c), size) for c, size in reps)
-
-
-@functools.cache
-def _sn_pair_orbits(N: int):
-    """(pool, inverses, orbits) for S_N, with orbits as in
-    `FiniteGroupTable.pair_orbits`; kept per degree for the life of the
-    process (the default budget admits r >= 2 sweeps up to N = 7)."""
-    pool = all_perms(N)
-    canon = {p: p for p in pool}  # the pool's objects stand for every perm
-    inv_pool = [canon[invert(p)] for p in pool]
-    inv_of = dict(zip(pool, inv_pool))
-    orbits = []
-    for lam in _partitions(N):
-        c = canon[_class_rep(lam)]
-        if lam[0] == 1:
-            # C(1) = S_N: the orbits are the classes, each least at the
-            # cycle type with its cycles in ascending length
-            reps = sorted((canon[_class_rep(mu[::-1])], _class_size(mu, N)) for mu in _partitions(N))
-        else:
-            cent = [(h, invert(h)) for h in _centralizer(lam)]
-            reps = _orbit_reps(pool, lambda x: {compose(compose(h_inv, x), h) for h, h_inv in cent})
-        orbits.append((c, inv_of[c], _class_size(lam, N), [(x, inv_of[x], n) for x, n in reps]))
-    return pool, inv_pool, orbits
-
-
-def class_collapsed_tuples(group: "int | FiniteGroupTable", r: int):
+def class_collapsed_tuples(group: "int | SymmetricGroup | FiniteGroupTable", r: int):
     """Hom(F_r, G), one tuple per orbit of simultaneous conjugation on
     the first two coordinates.
 
-    `group` is an S_N degree N or a Cayley table; r >= 1.  Yields
+    `group` is a group or an S_N degree N; r >= 1.  Yields
     (weight, elements, inverses).  The first coordinate runs over one
     representative c per conjugacy class (S_N: in partition order; a
     table: the least element of each class, in `conjugacy_classes`
@@ -210,19 +183,15 @@ def class_collapsed_tuples(group: "int | FiniteGroupTable", r: int):
     it over all |G|^r tuples.  Every tuple is the least of its orbit in
     product order, so a search for the first tuple with an invariant
     property finds the same tuple as the full sweep.  The orbits do not
-    depend on r >= 2 and are built once per degree or table; r = 1
-    needs only the classes.
+    depend on r >= 2 and are built once per group; r = 1 needs only the
+    classes.
     """
-    table = isinstance(group, FiniteGroupTable)
+    group = as_group(group)
     if r == 1:
-        if table:
-            classes = [(cls[0], group.inverse[cls[0]], len(cls)) for cls in group.conjugacy_classes]
-        else:
-            classes = _sn_classes(group)
-        for c, c_inv, size in classes:
+        for c, c_inv, size in group.classes:
             yield size, (c,), (c_inv,)
         return
-    pool, inv_pool, orbits = group.pair_orbits if table else _sn_pair_orbits(group)
+    pool, inv_pool, orbits = group.pair_orbits
     for c, c_inv, size, reps in orbits:
         for x, x_inv, orbit in reps:
             head, head_inv, weight = (c, x), (c_inv, x_inv), size * orbit
@@ -260,6 +229,121 @@ def evaluate_word(w: Word, perms: list[Perm]) -> Perm:
     return word_image(w.letters, perms, [invert(p) for p in perms])
 
 
+class SymmetricGroup:
+    """S_N: its elements are the permutations of range(N), its classes
+    the cycle types.  One object per degree (a negative one raises
+    ValueError) is kept for the life of the process; making it costs
+    O(1), and each of its tables is built on first use."""
+
+    _degrees: dict[int, SymmetricGroup] = {}
+    word_image = staticmethod(word_image)
+    class_key = staticmethod(cycle_type_key)
+
+    def __new__(cls, N: int):
+        if N < 0:
+            raise ValueError(f"symmetric group degree must be non-negative, got {N}")
+        if N not in cls._degrees:
+            group = cls._degrees[N] = super().__new__(cls)
+            group.degree, group.label, group.order_text = N, f"S{N}", f"{N}!"
+            group.order_factors = range(2, N + 1)  # N! = 2 x 3 x ... x N
+        return cls._degrees[N]
+
+    @staticmethod
+    def class_label(key: tuple[int, ...]) -> str:
+        return " ".join(str(t) for t in key)
+
+    @cached_property
+    def identity(self) -> Perm:
+        return tuple(range(self.degree))
+
+    @cached_property
+    def classes(self) -> list[tuple[Perm, Perm, int]]:
+        """(c, c^-1, class size) per cycle type, in partition order, c with
+        its cycles on consecutive points: the r = 1 sweep."""
+        reps = [(_class_rep(lam), _class_size(lam, self.degree)) for lam in _partitions(self.degree)]
+        return [(c, invert(c), size) for c, size in reps]
+
+    @cached_property
+    def pair_orbits(self):
+        """(pool, inverses, orbits) as `FiniteGroupTable.pair_orbits`, the
+        pool in `itertools.permutations` order."""
+        N = self.degree
+        pool = all_perms(N)
+        canon = {p: p for p in pool}  # the pool's objects stand for every perm
+        inv_pool = [canon[invert(p)] for p in pool]
+        inv_of = dict(zip(pool, inv_pool))
+        orbits = []
+        for lam, (c, _, size) in zip(_partitions(N), self.classes):
+            if set(lam) <= {1}:
+                # C(1) = S_N: the orbits are the classes, each least at the
+                # cycle type with its cycles in ascending length
+                reps = sorted((canon[_class_rep(mu[::-1])], _class_size(mu, N)) for mu in _partitions(N))
+            else:
+                cent = [(h, invert(h)) for h in _centralizer(lam)]
+                reps = _orbit_reps(pool, lambda x: {compose(compose(h_inv, x), h) for h, h_inv in cent})
+            c = canon[c]
+            orbits.append((c, inv_of[c], size, [(x, inv_of[x], n) for x, n in reps]))
+        return pool, inv_pool, orbits
+
+    @cached_property
+    def characters(self):
+        """(classes, index, sizes, columns): the cycle types in
+        `_partitions` order, each one's position and class size, and per
+        class the integer values on it of the irreducible characters
+        chi^lambda, lambda in the same order.
+
+        Murnaghan-Nakayama on beta-sets: chi^lambda at the cycle type
+        (t, nu) is the sum over the rim hooks of length t of lambda of
+        (-1)^leg chi^(lambda minus the hook)(nu).  With k beads at the
+        first-column hook lengths of lambda, a rim hook of length t moves a
+        bead b to a free c = b - t, and its leg is the number of beads
+        between.  The columns are built along a depth-first walk of the
+        cycle types with their parts added in ascending order: each column
+        of a degree m < N is computed once, from its parent, and dropped
+        once its children are, so the build holds the columns of one path
+        and of their pending siblings, and the rim hooks of each degree.
+        """
+        N = self.degree
+        parts = [list(_partitions(m)) for m in range(N + 1)]
+        index = [{lam: i for i, lam in enumerate(ps)} for ps in parts]
+        # rims[m][t]: (i, j, sign) for each rim hook of length t that takes
+        # parts[m][i] to parts[m - t][j]
+        rims: list[dict[int, list]] = [{} for _ in range(N + 1)]
+        for m in range(1, N + 1):
+            for i, lam in enumerate(parts[m]):
+                k = len(lam)
+                beads = [part + k - 1 - a for a, part in enumerate(lam)]
+                for b in beads:
+                    for c in set(range(b)).difference(beads):
+                        moved = sorted([c if x == b else x for x in beads], reverse=True)
+                        mu = tuple(y for a, x in enumerate(moved) if (y := x - (k - 1 - a)))
+                        sign = -1 if sum(c < x < b for x in beads) % 2 else 1
+                        rims[m].setdefault(b - c, []).append((i, index[m - b + c][mu], sign))
+        built = {}
+        stack = [((), 0, [1])]  # parts in ascending order, their sum, the column
+        while stack:
+            seq, m, col = stack.pop()
+            if m == N:
+                built[seq[::-1]] = col
+                continue
+            rest = N - m
+            least = seq[-1] if seq else 1
+            # every later part is at least t, so t = rest or 2t <= rest
+            for t in [*range(least, rest // 2 + 1), *([rest] if rest >= least else [])]:
+                child = [0] * len(parts[m + t])
+                for i, j, sign in rims[m + t].get(t, ()):
+                    child[i] += sign * col[j]
+                stack.append((seq + (t,), m + t, child))
+        classes = parts[N]
+        return classes, index[N], [_class_size(nu, N) for nu in classes], [built[nu] for nu in classes]
+
+
+def as_group(group: "int | SymmetricGroup | FiniteGroupTable") -> "SymmetricGroup | FiniteGroupTable":
+    """The group an argument names: a degree N is S_N (a negative one
+    raises ValueError), and a group is itself."""
+    return SymmetricGroup(group) if isinstance(group, int) else group
+
+
 def _within_budget(budget: int, factors) -> bool:
     """Whether the product of `factors` (each >= 1) is at most budget.  The
     partial products stop at the first that passes it, so N! entering as
@@ -273,20 +357,24 @@ def _refuse(charge: str, budget: int, figures: dict):
     raise BudgetExceededError(f"{charge} exceeds the budget {budget} ({shown})")
 
 
-def within_hom_budget(group: "int | FiniteGroupTable", r: int, length: int, budget: int) -> bool:
+def within_hom_budget(
+    group: "int | SymmetricGroup | FiniteGroupTable", r: int, length: int, budget: int
+) -> bool:
     """Whether a sweep of Hom(F_r, G) evaluating a word of this length,
-    |G|^r x max(length, 1), is within budget; `group` is an S_N degree
-    N, with |G| = N!, or a Cayley table."""
-    per_copy = (group.order,) if isinstance(group, FiniteGroupTable) else range(2, group + 1)
+    |G|^r x max(length, 1), is within budget; `group` is a group or an
+    S_N degree N, with |G| = N!."""
+    per_copy = as_group(group).order_factors
     return _within_budget(budget, itertools.chain([max(length, 1)], *[per_copy] * r))
 
 
-def _check_hom_budget(what: str, group, r: int, length: int, budget: int):
-    """Refuse the sweep `what` unless `within_hom_budget`."""
-    if not within_hom_budget(group, r, length, budget):
-        order = group.order if isinstance(group, FiniteGroupTable) else f"{group}!"
+def _check_hom_budget(group, letters, budget: int, r: int | None = None, what: str = "Hom sweep"):
+    """Refuse the sweep `what` of Hom(F_r, G) evaluating `letters` unless
+    `within_hom_budget`; r defaults to the largest generator index of
+    the letters."""
+    r = max((g for g, _ in letters), default=0) if r is None else r
+    if not within_hom_budget(group, r, len(letters), budget):
         _refuse(f"{what} |G|^r x max(length, 1)", budget,
-                {"|G|": order, "r": r, "max(length, 1)": max(length, 1)})
+                {"|G|": group.order_text, "r": r, "max(length, 1)": max(len(letters), 1)})
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +448,11 @@ class FiniteGroupTable(Frozen):
     """
 
     _fields = ("order", "table", "names")
+    identity = 0
+    label = property(lambda self: f"cayley:{self.order}")
+    order_factors = property(lambda self: (self.order,))
+    order_text = property(lambda self: str(self.order))
+    class_key = property(lambda self: self.class_of.__getitem__)
 
     def __init__(self, order: int, table: tuple[tuple[int, ...], ...], names: tuple[str, ...] = ()):
         object.__setattr__(self, "order", order)
@@ -426,19 +519,23 @@ class FiniteGroupTable(Frozen):
         return classes
 
     @cached_property
+    def classes(self) -> list[tuple[int, int, int]]:
+        """(c, c^-1, class size) per class, c its least element, in
+        `conjugacy_classes` order: the r = 1 sweep."""
+        return [(cls[0], self.inverse[cls[0]], len(cls)) for cls in self.conjugacy_classes]
+
+    @cached_property
     def pair_orbits(self):
         """(pool, inverses, orbits) for `class_collapsed_tuples` at r >= 2.
-        Per class, in `conjugacy_classes` order: its least element c, c^-1,
-        the class size and, in element order, (x, x^-1, orbit size) for
-        the least x of each orbit of C(c) acting on the group by
-        conjugation."""
+        Per class of `classes`: its c, c^-1, the class size and, in
+        element order, (x, x^-1, orbit size) for the least x of each orbit
+        of C(c) acting on the group by conjugation."""
         T, inv, pool = self.table, self.inverse, range(self.order)
         orbits = []
-        for cls in self.conjugacy_classes:
-            c = cls[0]
+        for c, c_inv, size in self.classes:
             cent = [g for g in pool if T[g][c] == T[c][g]]
             reps = _orbit_reps(pool, lambda x: {T[T[g][x]][inv[g]] for g in cent})
-            orbits.append((c, inv[c], len(cls), [(x, inv[x], n) for x, n in reps]))
+            orbits.append((c, c_inv, size, [(x, inv[x], n) for x, n in reps]))
         return list(pool), list(inv), orbits
 
     @cached_property
@@ -451,6 +548,9 @@ class FiniteGroupTable(Frozen):
 
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
+
+    def class_label(self, key: int) -> str:
+        return self.name_of(self.conjugacy_classes[key][0])
 
     def word_image(self, letters, elems: tuple[int, ...], invs: tuple[int, ...]) -> int:
         """The image of a letter sequence under x_i -> elems[i-1], given
@@ -507,59 +607,6 @@ def _check_character_budget(N: int, budget: int):
         _refuse("character table classes x classes x N", budget, {"classes": classes, "N": N})
 
 
-@functools.cache
-def _sn_characters(N: int):
-    """(classes, index, sizes, columns) for S_N: the cycle types in
-    `_partitions` order, each one's position and class size, and per
-    class the integer values on it of the irreducible characters
-    chi^lambda, lambda in the same order.  Kept per degree for the life
-    of the process.
-
-    Murnaghan-Nakayama on beta-sets: chi^lambda at the cycle type
-    (t, nu) is the sum over the rim hooks of length t of lambda of
-    (-1)^leg chi^(lambda minus the hook)(nu).  With k beads at the
-    first-column hook lengths of lambda, a rim hook of length t moves a
-    bead b to a free c = b - t, and its leg is the number of beads
-    between.  The columns are built along a depth-first walk of the
-    cycle types with their parts added in ascending order: each column
-    of a degree m < N is computed once, from its parent, and dropped
-    once its children are, so the build holds the columns of one path
-    and of their pending siblings, and the rim hooks of each degree.
-    """
-    parts = [list(_partitions(m)) for m in range(N + 1)]
-    index = [{lam: i for i, lam in enumerate(ps)} for ps in parts]
-    # rims[m][t]: (i, j, sign) for each rim hook of length t that takes
-    # parts[m][i] to parts[m - t][j]
-    rims: list[dict[int, list]] = [{} for _ in range(N + 1)]
-    for m in range(1, N + 1):
-        for i, lam in enumerate(parts[m]):
-            k = len(lam)
-            beads = [part + k - 1 - a for a, part in enumerate(lam)]
-            for b in beads:
-                for c in set(range(b)).difference(beads):
-                    moved = sorted([c if x == b else x for x in beads], reverse=True)
-                    mu = tuple(y for a, x in enumerate(moved) if (y := x - (k - 1 - a)))
-                    sign = -1 if sum(c < x < b for x in beads) % 2 else 1
-                    rims[m].setdefault(b - c, []).append((i, index[m - b + c][mu], sign))
-    built = {}
-    stack = [((), 0, [1])]  # parts in ascending order, their sum, the column
-    while stack:
-        seq, m, col = stack.pop()
-        if m == N:
-            built[seq[::-1]] = col
-            continue
-        rest = N - m
-        least = seq[-1] if seq else 1
-        # every later part is at least t, so t = rest or 2t <= rest
-        for t in [*range(least, rest // 2 + 1), *([rest] if rest >= least else [])]:
-            child = [0] * len(parts[m + t])
-            for i, j, sign in rims[m + t].get(t, ()):
-                child[i] += sign * col[j]
-            stack.append((seq + (t,), m + t, child))
-    classes = parts[N]
-    return classes, index[N], [_class_size(nu, N) for nu in classes], [built[nu] for nu in classes]
-
-
 def _is_commutator(block) -> bool:
     """Whether a letter block is g^e h^f g^-e h^-f with g != h and signs e, f."""
     if len(block) != 4:
@@ -568,7 +615,7 @@ def _is_commutator(block) -> bool:
     return g != h and third == (g, -e) and fourth == (h, -f)
 
 
-def _character_measure(N: int, factors) -> MeasureTable:
+def _character_measure(group: SymmetricGroup, factors) -> MeasureTable:
     """The measure on S_N of a product of independent factors, from the
     character table.  `factors` holds, per factor, None for a commutator
     [x, y] of two of its own letters, or its class counts (a Counter of
@@ -578,9 +625,9 @@ def _character_measure(N: int, factors) -> MeasureTable:
     chi(C) / chi(1) (Frobenius: 1/chi(1)^2 for [x, y]); independent
     factors multiply them, and mu(C) = |C|/N! sum_chi chi(1) fhat(chi)
     chi(C).  All of it runs in integers over one common denominator."""
-    classes, index, sizes, columns = _sn_characters(N)
+    classes, index, sizes, columns = group.characters
     dims = columns[-1]  # the last class is the identity's
-    weights, power, denominator = [1] * len(dims), -1, math.factorial(N)
+    weights, power, denominator = [1] * len(dims), -1, math.factorial(group.degree)
     for counts in factors:
         if counts is None:
             power += 2
@@ -600,7 +647,7 @@ def _character_measure(N: int, factors) -> MeasureTable:
         numer = size * sum(map(operator.mul, weights, column))
         if numer:
             support.append((nu, Fraction(numer, denominator)))
-    return MeasureTable(f"S{N}", tuple(sorted(support)))
+    return MeasureTable(group.label, tuple(sorted(support)))
 
 
 # ----------------------------------------------------------------------
@@ -625,18 +672,15 @@ class MeasureTable(Frozen):
         return self.as_dict.get(key, Fraction(0))
 
 
-def _sweep_counts(letters, group: "int | FiniteGroupTable") -> Counter:
+def _sweep_counts(letters, group: "SymmetricGroup | FiniteGroupTable") -> Counter:
     """Class key -> the number of the |G|^r tuples of Hom(F_r, G) that
     send the letter sequence into that class, r its largest generator
     index: the images are tallied over the class-collapsed sweep, each
     weighted by its class size, and then classified.  The identity word
     needs no sweep."""
     r = max((g for g, _ in letters), default=0)
-    if isinstance(group, FiniteGroupTable):
-        identity, image, classify = 0, group.word_image, group.class_of.__getitem__
-    else:
-        identity, image, classify = tuple(range(group)), word_image, cycle_type_key
-    by_image = Counter() if r else Counter([identity])
+    image, classify = group.word_image, group.class_key
+    by_image = Counter() if r else Counter([group.identity])
     for size, elems, invs in class_collapsed_tuples(group, r) if r else ():
         by_image[image(letters, elems, invs)] += size
     # there are at most |G| images to classify
@@ -646,14 +690,7 @@ def _sweep_counts(letters, group: "int | FiniteGroupTable") -> Counter:
     return counts
 
 
-def _check_sweep_budget(letters, group, budget: int):
-    """Refuse the Hom sweep of a letter sequence, at the rank of its
-    largest generator index, unless `within_hom_budget`."""
-    r = max((g for g, _ in letters), default=0)
-    _check_hom_budget("Hom sweep", group, r, len(letters), budget)
-
-
-def _measure_plan(w: Word, group: "int | FiniteGroupTable", budget: int):
+def _measure_plan(w: Word, group: "int | SymmetricGroup | FiniteGroupTable", budget: int):
     """Charge the measure of w on group against the budget, and return
     the work that computes it, a callable with no arguments: so a
     comparison charges both words before either is computed.
@@ -666,35 +703,35 @@ def _measure_plan(w: Word, group: "int | FiniteGroupTable", budget: int):
     The table and each block's sweep are charged before any work starts.
     Every other word, and every word on a Cayley table, is swept whole.
     """
+    group = as_group(group)
     letters = whitehead_minimal(w).letters
-    if not isinstance(group, FiniteGroupTable) and letters:
+    if isinstance(group, SymmetricGroup) and letters:
         blocks = disjoint_blocks(letters)
         if len(blocks) > 1 or _is_commutator(blocks[0]):
-            _check_character_budget(group, budget)
+            _check_character_budget(group.degree, budget)
             swept = [None if _is_commutator(b) else whitehead_minimal(Word(w.ambient_rank, b))
                      for b in blocks]
             for block in swept:
                 if block is not None:
-                    _check_sweep_budget(block.letters, group, budget)
+                    _check_hom_budget(group, block.letters, budget)
             return lambda: _character_measure(group, [
                 None if block is None else _sweep_counts(block.letters, group) for block in swept])
-    _check_sweep_budget(letters, group, budget)
-    label = f"cayley:{group.order}" if isinstance(group, FiniteGroupTable) else f"S{group}"
+    _check_hom_budget(group, letters, budget)
 
     def sweep() -> MeasureTable:
         counts = _sweep_counts(letters, group)
         total = sum(counts.values())
         support = sorted((k, Fraction(v, total)) for k, v in counts.items())
-        return MeasureTable(label, tuple(support))
+        return MeasureTable(group.label, tuple(support))
 
     return sweep
 
 
 def word_measure_exact(
-    w: Word, group: "int | FiniteGroupTable", budget: int = DEFAULT_BUDGET
+    w: Word, group: "int | SymmetricGroup | FiniteGroupTable", budget: int = DEFAULT_BUDGET
 ) -> MeasureTable:
-    """Exact w-measure on an S_N degree (classes keyed by cycle type) or a
-    Cayley table (keyed by class index).
+    """Exact w-measure on S_N, given as its degree or its group (classes
+    keyed by cycle type), or on a Cayley table (keyed by class index).
 
     The measure is invariant under Aut(F_r) and conjugation, so it is
     computed for `whitehead_minimal(w)`, a shortest word of the orbit of
@@ -716,7 +753,7 @@ class MeasureComparison(NamedTuple):
 
 
 def compare_measures(
-    w1: Word, w2: Word, group: "int | FiniteGroupTable", budget: int = DEFAULT_BUDGET
+    w1: Word, w2: Word, group: "int | SymmetricGroup | FiniteGroupTable", budget: int = DEFAULT_BUDGET
 ) -> MeasureComparison:
     """Exact equality of two word measures, with a witness class if not.
     Both words are charged against the budget before either is measured."""
@@ -745,7 +782,7 @@ def epi_image(w: Word, G: FiniteGroupTable, budget: int = DEFAULT_BUDGET) -> set
     generating tuple contributes the whole conjugacy class of its image.
     The sweep is costed as |G|^r x max(length, 1), as on a Cayley table.
     """
-    _check_hom_budget("epimorphism enumeration", G, w.ambient_rank, len(w), budget)
+    _check_hom_budget(G, w.letters, budget, w.ambient_rank, "epimorphism enumeration")
     out: set[int] = set()
     for _, elems, invs in class_collapsed_tuples(G, w.ambient_rank):
         img = G.word_image(w.letters, elems, invs)
@@ -813,6 +850,8 @@ def trw_monte_carlo(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if N < 0:
+        raise ValueError(f"symmetric group degree must be non-negative, got {N}")
     length = max(len(w), 1)
     if not _within_budget(budget, (samples, length, N)):
         _refuse("samples x max(length, 1) x N", budget,

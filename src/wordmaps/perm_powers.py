@@ -17,6 +17,7 @@ from .measures import (  # evaluate_word is re-exported: bench/tracer.py wraps i
     Perm,
     class_collapsed_tuples,
     compose,
+    cycle_type_key,
     cycles,
     evaluate_word,
     invert,
@@ -58,10 +59,8 @@ def power_of_permutation(p: Perm, d: int) -> Perm:
 
 
 def cycle_type(p: Perm) -> CycleType:
-    counts: dict[int, int] = {}
-    for cyc in cycles(p):
-        counts[len(cyc)] = counts.get(len(cyc), 0) + 1
-    return CycleType(len(p), tuple(sorted(counts.items())))
+    key = cycle_type_key(p)
+    return CycleType(len(p), tuple((t, key.count(t)) for t in sorted(set(key))))
 
 
 def power_cycle_divisor(t: int, d: int) -> int:
@@ -82,8 +81,9 @@ def is_dth_power(p: Perm, d: int) -> bool:
     """True iff some permutation of the same degree d-powers to p."""
     if d <= 0:
         raise ValueError("d must be positive")
-    for t, c in cycle_type(p).counts:
-        if c % power_cycle_divisor(t, d) != 0:
+    key = cycle_type_key(p)
+    for t in set(key):
+        if key.count(t) % power_cycle_divisor(t, d):
             return False
     return True
 

@@ -166,6 +166,39 @@ def test_no_function_local_imports():
     assert [hit for path in files for hit in function_local_imports(path)] == []
 
 
+# What an isinstance test of a group's kind names: the int of an S_N
+# degree, the tuple of a cycle-type key, or a group class.
+GROUP_KINDS = {"int", "tuple", "SymmetricGroup", "FiniteGroupTable"}
+
+
+def group_kind_tests(path: Path) -> list[str]:
+    """"file:function" of each function that calls isinstance with a type
+    among GROUP_KINDS, naming the innermost function around the call."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    # ast.walk visits an enclosing function before the functions inside it
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+                    names = {n.id if isinstance(n, ast.Name) else n.attr
+                             for n in ast.walk(node.args[-1])
+                             if isinstance(n, (ast.Name, ast.Attribute))}
+                    if names & GROUP_KINDS:
+                        owner[node] = func.name
+    return sorted({f"{path.name}:{name}" for name in owner.values()})
+
+
+def test_only_three_functions_test_a_groups_kind():
+    # S_N and Cayley tables answer to one interface: only the coercion of
+    # a degree, the character-route choice and the S_N refusal of
+    # `measure epiim` may ask which kind a group is
+    files = sorted((SRC / "wordmaps").glob("*.py"))
+    assert [hit for path in files for hit in group_kind_tests(path)] == [
+        "cli.py:cmd_measure_epiim", "measures.py:_measure_plan", "measures.py:as_group",
+    ]
+
+
 def test_word_root_loads_no_computing_module():
     loaded = loaded_by_cli("word", "root", "--word", "x^4")
     assert "wordmaps.words" in loaded

@@ -6,6 +6,7 @@ import platform
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -67,7 +68,7 @@ def test_word_image_matches_the_pointwise_oracle():
             want = word_image_pointwise(letters, perms, invs)
             assert measures.word_image(letters, perms, invs) == want, (N, letters)
             reduced = free_reduce(letters)
-            assert measures.evaluate_word(Word(len(perms), reduced), list(perms)) == (
+            assert measures.word_image(reduced, perms, tuple(map(measures.invert, perms))) == (
                 word_image_pointwise(reduced, perms, invs)
             ), (N, letters)
             cases += 1
@@ -258,6 +259,30 @@ def test_compare_unequal_with_transposition_witness():
     assert not cmp.equal
     assert cmp.witness_class == (2, 1)
     assert cmp.prob2 == 0
+
+
+DEGREE_CALLS = {  # name -> (call at degree N, its value at N = 0)
+    "class_collapsed_tuples": (lambda N: list(measures.class_collapsed_tuples(N, 2)),
+                               [(1, ((), ()), ((), ()))]),
+    "compare_measures": (lambda N: compare_measures(parse("ab"), parse("a"), N),
+                         measures.MeasureComparison(True)),
+    "trw_monte_carlo": (lambda N: trw_monte_carlo(parse("ab"), N, 10, 0), (0.0, 0.0)),
+    "within_hom_budget": (lambda N: measures.within_hom_budget(N, 2, 1, 10), True),
+    "word_measure_exact": (lambda N: word_measure_exact(parse("abaB"), N),
+                           measures.MeasureTable("S0", (((), Fraction(1)),))),
+    "word_power_obstruction": (lambda N: perm_powers.word_power_obstruction(parse("ab"), 2, [N]),
+                               perm_powers.ObstructionVerdict("ab", 2, None, None, (0,), False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_CALLS))
+def test_a_negative_degree_is_refused_and_degree_zero_is_trivial(name):
+    call, at_zero = DEGREE_CALLS[name]
+    for N in (-1, -3):
+        with pytest.raises(ValueError, match=f"degree must be non-negative, got {N}$"):
+            call(N)
+    # S_0 holds one element, the empty permutation
+    assert call(0) == at_zero
 
 
 def test_epi_image_on_cyclic():
@@ -470,9 +495,9 @@ def test_phi_matches_all_tuples_oracle(gens, r, max_N):
 # -- Cayley tables vs all-tuples oracle -------------------------------
 
 
-def _perm_table(gens) -> FiniteGroupTable:
-    """The Cayley table of the permutation group generated by gens,
-    identity first, composed first-left-then-right."""
+def _perm_elements(gens) -> list[tuple[int, ...]]:
+    """The permutation group generated by gens, identity first, in the
+    order `_perm_table` numbers it."""
     n = len(gens[0])
     elems = [tuple(range(n))]
     for a in elems:
@@ -480,6 +505,13 @@ def _perm_table(gens) -> FiniteGroupTable:
             b = tuple(g[q] for q in a)
             if b not in elems:
                 elems.append(b)
+    return elems
+
+
+def _perm_table(gens) -> FiniteGroupTable:
+    """The Cayley table of the permutation group generated by gens,
+    identity first, composed first-left-then-right."""
+    elems = _perm_elements(gens)
     index = {e: i for i, e in enumerate(elems)}
     table = tuple(tuple(index[tuple(b[q] for q in a)] for b in elems) for a in elems)
     return FiniteGroupTable(len(elems), table)
@@ -509,12 +541,17 @@ def _oracle_table(w, G):
     return counts, epi
 
 
+PERM_GENS = {
+    "S3": [(1, 0, 2), (1, 2, 0)],
+    "S4": [(1, 0, 2, 3), (1, 2, 3, 0)],
+    "A5": [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)],
+    "D4": [(1, 2, 3, 0), (3, 2, 1, 0)],
+}
+
+
 CAYLEY_GROUPS = {
     **{f"Z{n}": FiniteGroupTable.cyclic(n) for n in range(1, 7)},
-    "S3": _perm_table([(1, 0, 2), (1, 2, 0)]),
-    "S4": _perm_table([(1, 0, 2, 3), (1, 2, 3, 0)]),
-    "A5": _perm_table([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)]),
-    "D4": _perm_table([(1, 2, 3, 0), (3, 2, 1, 0)]),
+    **{name: _perm_table(gens) for name, gens in PERM_GENS.items()},
 }
 
 
@@ -551,27 +588,22 @@ def test_cayley_measures_match_all_tuples_oracle(text, rank, name):
 
 
 def _first_coordinate_sweep(group, r):
-    """Hom(F_r, G) with only the first coordinate collapsed by conjugacy
-    class and the other r - 1 over all of G: the oracle of
+    """Hom(F_r, S_N) with only the first coordinate collapsed by cycle
+    type and the other r - 1 over all of S_N, built from
+    `itertools.permutations` and `_class_rep` alone: the oracle of
     `class_collapsed_tuples`."""
-    if isinstance(group, FiniteGroupTable):
-        classes = [(cls[0], len(cls)) for cls in group.conjugacy_classes]
-        pool = list(range(group.order))
-        inverse = dict(enumerate(group.inverse))
-    else:
-        classes = [(measures._class_rep(lam), measures._class_size(lam, group))
-                   for lam in measures._partitions(group)]
-        pool = list(itertools.permutations(range(group)))
-        inverse = {p: measures.invert(p) for p in pool}
-    for rep, size in classes:
+    N = group.degree
+    pool = list(itertools.permutations(range(N)))
+    inverse = {p: invert_pointwise(p) for p in pool}
+    for lam in measures._partitions(N):
         for rest in itertools.product(pool, repeat=r - 1):
-            elems = (rep,) + rest
-            yield size, elems, tuple(inverse[p] for p in elems)
+            elems = (measures._class_rep(lam),) + rest
+            yield measures._class_size(lam, N), elems, tuple(inverse[p] for p in elems)
 
 
 def _sweep_group(spec):
-    """A Cayley table by name, or an S_N degree."""
-    return CAYLEY_GROUPS[spec] if isinstance(spec, str) else spec
+    """A Cayley table by name, or S_N by its degree."""
+    return CAYLEY_GROUPS.get(spec) or measures.SymmetricGroup(spec)
 
 
 # tuples at r = 2: sum over classes of |C(c)|, against k(G) |G|
@@ -584,7 +616,7 @@ def _sweep_group(spec):
 )
 def test_sweep_weights_sum_to_all_tuples(name, r, tuples):
     group = _sweep_group(name)
-    order = group.order if isinstance(group, FiniteGroupTable) else math.factorial(group)
+    order = math.prod(group.order_factors)
     weights = [weight for weight, _, _ in measures.class_collapsed_tuples(group, r)]
     assert len(weights) == tuples
     assert sum(weights) == order**r
@@ -595,8 +627,7 @@ def _general_product_sweep(group, r):
     `itertools.product`, as `class_collapsed_tuples` does for r >= 3:
     the oracle of its r = 2 branch, where the product is one empty
     tuple."""
-    table = isinstance(group, FiniteGroupTable)
-    pool, inv_pool, orbits = group.pair_orbits if table else measures._sn_pair_orbits(group)
+    pool, inv_pool, orbits = group.pair_orbits
     for c, c_inv, size, reps in orbits:
         for x, x_inv, orbit in reps:
             for rest, rest_inv in zip(
@@ -631,25 +662,35 @@ def test_s7_measures_of_commutator_and_squares_are_pinned():
 @pytest.mark.parametrize("name", [1, 2, 3, 4, 5, 6, 7, "A5", "S4", "D4", "Z6"])
 def test_each_second_coordinate_is_least_of_its_centralizer_orbit(name):
     group = _sweep_group(name)
-    if isinstance(group, FiniteGroupTable):
-        elements = list(range(group.order))
-        mul = lambda a, b: group.table[a][b]  # noqa: E731
-        inv = group.inverse.__getitem__
-    else:
-        elements = sorted(itertools.permutations(range(group)))
-        mul = lambda p, q: tuple(q[i] for i in p)  # noqa: E731
-        inv = lambda p: tuple(sorted(range(len(p)), key=p.__getitem__))  # noqa: E731
+    mul = lambda a, b: group.word_image(((1, 1), (2, 1)), (a, b), ())  # noqa: E731
+
+    def inv(a):
+        b = a  # a^k for k = 1, 2, ... until a^(k+1) is the identity
+        while (c := mul(b, a)) != group.identity:
+            b = c
+        return b
+
+    # no proper subgroup meets every conjugacy class, so the class
+    # representatives generate G, and G is their closure under products
+    reps = [elems[0] for _, elems, _ in measures.class_collapsed_tuples(group, 1)]
+    elements, frontier = set(reps), list(reps)
+    for a in frontier:
+        for b in reps:
+            if (ab := mul(a, b)) not in elements:
+                elements.add(ab)
+                frontier.append(ab)
+    elements = sorted(elements)
     sweep = list(measures.class_collapsed_tuples(group, 2))
     assert all(invs == tuple(map(inv, elems)) for _, elems, invs in sweep)
     heads = list(dict.fromkeys(elems[0] for _, elems, _ in sweep))
     # the classes and their order are those of the r = 1 sweep
-    assert heads == [elems[0] for _, elems, _ in measures.class_collapsed_tuples(group, 1)]
+    assert heads == reps
     for c in heads:
-        cent = [h for h in elements if mul(h, c) == mul(c, h)]
+        cent = [(h, inv(h)) for h in elements if mul(h, c) == mul(c, h)]
         want, seen = [], set()
         for x in elements:
             if x not in seen:
-                orbit = {mul(mul(inv(h), x), h) for h in cent}
+                orbit = {mul(mul(h_inv, x), h) for h, h_inv in cent}
                 seen |= orbit
                 want.append((x, len(elements) // len(cent) * len(orbit)))
         assert [(elems[1], weight) for weight, elems, _ in sweep if elems[0] == c] == want
@@ -661,7 +702,7 @@ SWEEP_WORDS = ["x", "x^2", "aab", "[x,y]", "xyxY", "x^2yXy", "x^2y^2XY", "x^2y^3
 def _swept_measure(w, N):
     """The measure of w on S_N by the Hom sweep of its Whitehead-minimal
     word, whatever route `word_measure_exact` takes for it."""
-    counts = measures._sweep_counts(whitehead_minimal(w).letters, N)
+    counts = measures._sweep_counts(whitehead_minimal(w).letters, measures.as_group(N))
     total = sum(counts.values())
     support = sorted((k, Fraction(v, total)) for k, v in counts.items())
     return measures.MeasureTable(f"S{N}", tuple(support))
@@ -692,18 +733,53 @@ def test_orbit_sweep_matches_the_first_coordinate_sweep(monkeypatch, text):
         assert got == want, (text, partner, N)
 
 
+@pytest.mark.parametrize("N", [3, 4])
+def test_symmetric_group_agrees_with_its_cayley_table(N):
+    # S_N as a SymmetricGroup and as a Cayley table, class by class; the
+    # products and commutators that take the character route on S_N are
+    # swept on the table
+    S, G = measures.SymmetricGroup(N), CAYLEY_GROUPS[f"S{N}"]
+    elements = _perm_elements(PERM_GENS[f"S{N}"])
+    index = {_oracle_cycle_type(p): G.class_of[i] for i, p in enumerate(elements)}
+    assert len(index) == len(G.conjugacy_classes)
+    words = [parse(text, rank) for text, rank in CAYLEY_WORDS] + [parse(text) for text in SWEEP_WORDS]
+    on_table = {}
+    for w in words:
+        on_table[w] = word_measure_exact(w, G)
+        on_sn = word_measure_exact(w, S)
+        assert sorted((index[k], p) for k, p in on_sn.support) == list(on_table[w].support), str(w)
+    for w1, w2 in zip(words, words[1:] + words[:1]):
+        cmp_sn, cmp_table = compare_measures(w1, w2, S), compare_measures(w1, w2, G)
+        assert cmp_sn.equal == cmp_table.equal == (on_table[w1] == on_table[w2]), (str(w1), str(w2))
+        if not cmp_sn.equal:
+            # each side names a class where the two measures differ, and a
+            # support mismatch whenever there is one
+            i = index[cmp_sn.witness_class]
+            assert (cmp_sn.prob1, cmp_sn.prob2) == (on_table[w1].probability(i), on_table[w2].probability(i))
+            assert (0 in (cmp_sn.prob1, cmp_sn.prob2)) == (0 in (cmp_table.prob1, cmp_table.prob2))
+    for r in (1, 2, 3):
+        weights = []
+        for group, key in ((S, lambda p: index[S.class_key(p)]), (G, G.class_key)):
+            by_classes = Counter()
+            for weight, elems, _ in measures.class_collapsed_tuples(group, r):
+                by_classes[tuple(map(key, elems))] += weight
+            weights.append(by_classes)
+        assert weights[0] == weights[1], r
+
+
 def test_rank_one_sweeps_build_no_pool(monkeypatch):
     # a one-letter word on S10-S12 must not enumerate N!
     def refuse(N):
         raise AssertionError(f"all_perms({N}) ran for a rank-1 sweep")
 
     monkeypatch.setattr(measures, "all_perms", refuse)
-    cached = measures._sn_pair_orbits.cache_info().currsize
+    built = lambda: [N for N in range(13) if "pair_orbits" in vars(measures.SymmetricGroup(N))]  # noqa: E731
+    before = built()
     table = word_measure_exact(parse("x^3"), 12, budget=10**10)
     assert sum(p for _, p in table.support) == 1
     verdict = perm_powers.word_power_obstruction(parse("x^2"), 2, list(range(1, 10)))
     assert verdict.searched == tuple(range(1, 10)) and not verdict.conclusive
-    assert measures._sn_pair_orbits.cache_info().currsize == cached
+    assert built() == before
 
 
 # -- measures sweep the Whitehead-minimal word ------------------------
@@ -878,7 +954,7 @@ def _hook_length_degree(lam):
 
 @pytest.mark.parametrize("N", range(1, 11))
 def test_character_table_is_orthogonal_with_hook_length_degrees(N):
-    classes, index, sizes, columns = measures._sn_characters(N)
+    classes, index, sizes, columns = measures.SymmetricGroup(N).characters
     assert classes == list(measures._partitions(N))
     assert index == {nu: i for i, nu in enumerate(classes)}
     assert sizes == [measures._class_size(nu, N) for nu in classes]
@@ -915,7 +991,7 @@ def test_character_route_matches_the_sweep(monkeypatch, rank, max_N, count):
     routed = []
     character_measure = measures._character_measure
     monkeypatch.setattr(measures, "_character_measure",
-                        lambda N, factors: routed.append(N) or character_measure(N, factors))
+                        lambda group, factors: routed.append(group) or character_measure(group, factors))
     rng = random.Random(f"characters/{rank}")
     words = [_random_product(rng, rank) for _ in range(count)]
     for w in words:
@@ -958,7 +1034,7 @@ def test_character_route_charges_the_table_and_each_block_first(monkeypatch):
         raise AssertionError("work started")
 
     monkeypatch.setattr(measures, "class_collapsed_tuples", refuse)
-    monkeypatch.setattr(measures, "_sn_characters", refuse)
+    monkeypatch.setattr(measures.SymmetricGroup, "characters", property(refuse))
     # x^2 costs 13! x 2 and passes; y^3 costs 13! x 3
     with pytest.raises(BudgetExceededError, match=r"\(\|G\|=13!, r=1, max\(length, 1\)=3\)"):
         word_measure_exact(parse("x^2y^3"), 13, budget=2 * math.factorial(13))

@@ -186,10 +186,8 @@ def test_obstruction_finds_witness_for_x2y2():
     assert v.conclusive and v.witness_degree == 6
     assert not v.is_power_in_free_group
     # witness really is an obstruction
-    from wordmaps.measures import evaluate_word
-
-    img = evaluate_word(parse("x^2y^2"), list(v.witness_tuple))
-    assert not is_dth_power(img, 2)
+    invs = tuple(map(measures.invert, v.witness_tuple))
+    assert not is_dth_power(measures.word_image(parse("x^2y^2").letters, v.witness_tuple, invs), 2)
 
 
 def test_obstruction_witness_follows_sweep_order():
@@ -207,7 +205,8 @@ def _first_witness(w, d, N):
     for lam in measures._partitions(N):
         for rest in itertools.product(pool, repeat=w.ambient_rank - 1):
             perms = (measures._class_rep(lam),) + rest
-            if not is_dth_power(measures.evaluate_word(w, list(perms)), d):
+            invs = tuple(map(measures.invert, perms))
+            if not is_dth_power(measures.word_image(w.letters, perms, invs), d):
                 return perms
     return None
 
