@@ -14,9 +14,10 @@ a Cayley table alike, through one serial sweep, `class_collapsed_tuples`,
 which visits one tuple per orbit of simultaneous conjugation on the
 first two coordinates: a class representative c, then one element per
 orbit of its centralizer (each of these is invariant under simultaneous
-conjugation).  At r = 2
-that is sum over classes of |C(c)| tuples, 5,579 on S_7 against
-p(7)·7! = 75,600 for a first-coordinate collapse.  A word is evaluated
+conjugation).  One builder, `_pair_orbits`, makes these orbits for both
+kinds; the identity's are the conjugacy classes, found by `class_key`.
+At r = 2 that is sum over classes of |C(c)| tuples, 5,579 on S_7
+against p(7)·7! = 75,600 for a first-coordinate collapse.  A word is evaluated
 on permutations by `word_image`, from its first letter's permutation by
 one C-level gather (`compose`) per further letter.  Monte Carlo draws
 from one stream seeded `Random(f"{seed}/0")`, with the draws and values
@@ -130,41 +131,42 @@ def cycle_type_key(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(map(len, cycles(p)), reverse=True))
 
 
-def _centralizer(lam: tuple[int, ...]) -> list[Perm]:
-    """The centralizer of c = _class_rep(lam): every way to send each
-    cycle of c onto a cycle of the same length, at any rotation (the
-    rotations of c's cycles and the swaps of equal-length cycles
-    generate it)."""
-    starts = list(itertools.accumulate(lam, initial=0))
-    blocks = []  # per cycle length: each element's (point, image) pairs
-    for t in sorted(set(lam)):
-        cyc = [s for s, u in zip(starts, lam) if u == t]
-        blocks.append([
-            [(s + j, o + (j + k) % t) for s, o, k in zip(cyc, order, rot) for j in range(t)]
-            for order in itertools.permutations(cyc)
-            for rot in itertools.product(range(t), repeat=len(cyc))
-        ])
-    out = []
-    for parts in itertools.product(*blocks):
-        h = [0] * starts[-1]
-        for part in parts:
-            for p, q in part:
-                h[p] = q
-        out.append(tuple(h))
-    return out
-
-
-def _orbit_reps(pool, orbit_of) -> list[tuple[object, int]]:
-    """(least element, orbit size) for each orbit that `orbit_of(x)`
-    returns as a set, in pool order."""
+def _orbit_reps(pool, orbit_of) -> list[tuple[object, set]]:
+    """(least element, orbit) for each orbit that `orbit_of(x)` returns
+    as a set, in pool order."""
     seen: set = set()
     out = []
     for x in pool:
         if x not in seen:
             orbit = orbit_of(x)
             seen |= orbit
-            out.append((x, len(orbit)))
+            out.append((x, orbit))
     return out
+
+
+def _pair_orbits(group, pool, inv_pool, product):
+    """(pool, inverses, orbits) for `class_collapsed_tuples` at r >= 2,
+    from the group's elements in sweep order, their inverses and its
+    product.  Per class of `group.classes`: its c, c^-1, the class size
+    and, in pool order, (x, x^-1, orbit size) for the least x of each
+    orbit of the centralizer C(c) acting on the group by conjugation.
+    C(c) is the pool filtered by h c = c h; the identity's is the whole
+    group, whose orbits are the conjugacy classes, each least at the
+    first of its elements in the pool (two `class_key` passes, which keep
+    no list of keys)."""
+    inv_of = dict(zip(pool, inv_pool))
+    orbits = []
+    for c, c_inv, size in group.classes:
+        if c == group.identity:  # a Counter lists its keys in pool order
+            # built backwards, so that each class keeps its first element
+            first = dict(zip(map(group.class_key, reversed(pool)), reversed(pool)))
+            reps = [(first[k], n) for k, n in Counter(map(group.class_key, pool)).items()]
+        else:
+            cent = [(h, inv_of[h]) for h in pool if product(h, c) == product(c, h)]
+            reps = _orbit_reps(pool, lambda x: {product(product(h_inv, x), h) for h, h_inv in cent})
+            reps = [(x, len(orbit)) for x, orbit in reps]
+        orbits.append((c, c_inv, size, [(x, inv_of[x], n) for x, n in reps]))
+    return pool, inv_pool, orbits
 
 
 def class_collapsed_tuples(group: "int | SymmetricGroup | FiniteGroupTable", r: int):
@@ -265,25 +267,10 @@ class SymmetricGroup:
 
     @cached_property
     def pair_orbits(self):
-        """(pool, inverses, orbits) as `FiniteGroupTable.pair_orbits`, the
-        pool in `itertools.permutations` order."""
-        N = self.degree
-        pool = all_perms(N)
+        """`_pair_orbits` over the pool in `itertools.permutations` order."""
+        pool = all_perms(self.degree)
         canon = {p: p for p in pool}  # the pool's objects stand for every perm
-        inv_pool = [canon[invert(p)] for p in pool]
-        inv_of = dict(zip(pool, inv_pool))
-        orbits = []
-        for lam, (c, _, size) in zip(_partitions(N), self.classes):
-            if set(lam) <= {1}:
-                # C(1) = S_N: the orbits are the classes, each least at the
-                # cycle type with its cycles in ascending length
-                reps = sorted((canon[_class_rep(mu[::-1])], _class_size(mu, N)) for mu in _partitions(N))
-            else:
-                cent = [(h, invert(h)) for h in _centralizer(lam)]
-                reps = _orbit_reps(pool, lambda x: {compose(compose(h_inv, x), h) for h, h_inv in cent})
-            c = canon[c]
-            orbits.append((c, inv_of[c], size, [(x, inv_of[x], n) for x, n in reps]))
-        return pool, inv_pool, orbits
+        return _pair_orbits(self, pool, [canon[invert(p)] for p in pool], compose)
 
     @cached_property
     def characters(self):
@@ -505,18 +492,9 @@ class FiniteGroupTable(Frozen):
     @cached_property
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         """Classes as sorted tuples, ordered by their least element."""
-        seen = set()
-        classes = []
-        for a in range(self.order):
-            if a in seen:
-                continue
-            orbit = {
-                self.table[self.table[g][a]][self.inverse[g]]
-                for g in range(self.order)
-            }
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        return classes
+        T, inv, pool = self.table, self.inverse, range(self.order)
+        orbits = _orbit_reps(pool, lambda a: {T[T[g][a]][inv[g]] for g in pool})
+        return [tuple(sorted(orbit)) for _, orbit in orbits]
 
     @cached_property
     def classes(self) -> list[tuple[int, int, int]]:
@@ -526,17 +504,9 @@ class FiniteGroupTable(Frozen):
 
     @cached_property
     def pair_orbits(self):
-        """(pool, inverses, orbits) for `class_collapsed_tuples` at r >= 2.
-        Per class of `classes`: its c, c^-1, the class size and, in
-        element order, (x, x^-1, orbit size) for the least x of each orbit
-        of C(c) acting on the group by conjugation."""
-        T, inv, pool = self.table, self.inverse, range(self.order)
-        orbits = []
-        for c, c_inv, size in self.classes:
-            cent = [g for g in pool if T[g][c] == T[c][g]]
-            reps = _orbit_reps(pool, lambda x: {T[T[g][x]][inv[g]] for g in cent})
-            orbits.append((c, c_inv, size, [(x, inv[x], n) for x, n in reps]))
-        return list(pool), list(inv), orbits
+        """`_pair_orbits` over the pool in element order."""
+        T = self.table
+        return _pair_orbits(self, list(range(self.order)), list(self.inverse), lambda a, b: T[a][b])
 
     @cached_property
     def class_of(self) -> tuple[int, ...]:
@@ -567,16 +537,21 @@ class FiniteGroupTable(Frozen):
 
     @staticmethod
     def from_json_dict(data: dict) -> "FiniteGroupTable":
+        """The table of a Cayley JSON object: an integer "order", a
+        "table" of integer rows and, optionally, distinct string "names"."""
         try:
-            return FiniteGroupTable(
-                int(data["order"]),
-                tuple(tuple(row) for row in data["table"]),
-                tuple(data.get("names", ())),
-            )
+            order, names = data["order"], data.get("names", [])
+            table = tuple(tuple(row) for row in data["table"])
         except KeyError as e:
             raise ValueError(f"Cayley table JSON lacks the {e} key") from None
         except TypeError as e:
             raise ValueError(f"malformed Cayley table JSON: {e}") from None
+        # type(), not isinstance(): JSON true and false are bools, an int subclass
+        if {type(order), *map(type, itertools.chain.from_iterable(table))} != {int}:
+            raise ValueError("malformed Cayley table JSON: the order and every entry must be integers")
+        if type(names) is not list or {type(a) for a in names} - {str} or len(set(names)) < len(names):
+            raise ValueError("malformed Cayley table JSON: the names must be distinct strings")
+        return FiniteGroupTable(order, table, tuple(names))
 
 
 # ----------------------------------------------------------------------

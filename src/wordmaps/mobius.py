@@ -19,7 +19,7 @@ from .errors import HypothesisError
 from .extensions import INFINITE_RANK, ExtensionPoset
 from .measures import DEFAULT_BUDGET, trw_exact
 from .stallings import CoreGraph
-from .words import Word, maximal_root, substitute
+from .words import MAX_PARSED_LENGTH, Word, maximal_root, substitute
 
 
 class DerivationTable(NamedTuple):
@@ -191,9 +191,13 @@ def check_power_gap(
     budget: int = DEFAULT_BUDGET,
 ) -> PowerGapReport:
     """Tabulate f_u(N) = Tr_{u^d}(N) - Tr_u(N) against delta(|d|) - 1
-    (Tr_{u^-d} = Tr_{u^d}); d = 0 is rejected."""
+    (Tr_{u^-d} = Tr_{u^d}).  d = 0 is rejected, and so is a u^d of more
+    than `words.MAX_PARSED_LENGTH` letters, the parser's bound, before
+    any work."""
     if d == 0:
         raise ValueError("the power gap needs d != 0")
+    if abs(d) * len(u) > MAX_PARSED_LENGTH:
+        raise ValueError(f"|d| x |u| = {abs(d) * len(u)} exceeds the word length limit {MAX_PARSED_LENGTH}")
     if u.is_identity:
         raise HypothesisError("u is a non-power", "u is the identity")
     _, b = maximal_root(u)

@@ -14,7 +14,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import WordSyntaxError
 
 MAX_RANK = 26
-# Guard against `x^1000000000`-style blowups during parsing.
+# Guard against `x^1000000000`-style blowups in parsing and in powers
+# built by `mobius.check_power_gap`.
 MAX_PARSED_LENGTH = 1_000_000
 
 Letter = tuple[int, int]  # (generator index, 1-based; sign +1/-1)
@@ -128,12 +129,8 @@ class Word(Frozen):
         return Word(self.ambient_rank, tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, d: int) -> "Word":
-        if d < 0:
-            return self.inverse() ** (-d)
-        out = Word.identity(self.ambient_rank)
-        for _ in range(d):
-            out = out * self
-        return out
+        base = self if d >= 0 else self.inverse()
+        return Word(self.ambient_rank, free_reduce(base.letters * abs(d)))
 
     def conjugate_by(self, c: "Word") -> "Word":
         """c * self * c^-1."""

@@ -472,6 +472,13 @@ def test_power_gap_rejects_d_zero(capsys):
     assert rc == 2 and "d != 0" in err
 
 
+def test_power_gap_refuses_a_power_past_the_word_length_limit(capsys):
+    # (ab)^500001 has 1,000,002 letters, over words.MAX_PARSED_LENGTH
+    rc, out, err = run(capsys, "mobius", "power-gap", "--word", "ab", "--d", "500001", "--n", "3")
+    assert (rc, out) == (2, "")
+    assert err == "error: |d| x |u| = 1000002 exceeds the word length limit 1000000\n"
+
+
 def test_identity_word_table_on_a_large_symmetric_group(capsys):
     rc, out, _ = run(capsys, "measure", "table", "--word", "1", "--group", "S30")
     assert rc == 0 and out.splitlines()[-1] == '"' + " ".join(["1"] * 30) + '",1,1,1'
@@ -487,17 +494,26 @@ def test_identity_word_table_on_a_large_symmetric_group(capsys):
         ({"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "a", "b"]}, "3 names"),
         ({"order": 0, "table": []}, "group order 0 is below 1"),
         ({"order": 2, "table": [[0, "a"], [1, 0]]}, "malformed Cayley table JSON"),
+        ({"order": 2.7, "table": [[0, 1], [1, 0]]}, "the order and every entry must be integers"),
+        ({"order": "2", "table": [[0, 1], [1, 0]]}, "the order and every entry must be integers"),
+        ({"order": True, "table": [[0]]}, "the order and every entry must be integers"),
+        ({"order": 2, "table": [[False, True], [True, False]]}, "every entry must be integers"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "names": "ea"}, "names must be distinct strings"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "names": [1, 2]}, "names must be distinct strings"),
+        ({"order": 2, "table": [[0, 1], [1, 0]], "names": ["e", "e"]}, "names must be distinct"),
     ],
     ids=["missing-file", "no-order", "no-table", "short-names", "long-names", "order-0",
-         "wrong-type"],
+         "wrong-type", "float-order", "string-order", "bool-order", "bool-entries",
+         "string-names", "number-names", "repeated-names"],
 )
 def test_malformed_cayley_json_exits_2(capsys, tmp_path, data, message):
     path = tmp_path / "g.json"
     if data is not None:
         path.write_text(json.dumps(data))
-    rc, out, err = run(capsys, "measure", "table", "--word", "x", "--group", f"cayley:{path}")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    for command in ("table", "epiim"):
+        rc, out, err = run(capsys, "measure", command, "--word", "x", "--group", f"cayley:{path}")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_mc_budget_exit_code(capsys):

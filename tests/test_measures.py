@@ -610,7 +610,7 @@ def _sweep_group(spec):
 @pytest.mark.parametrize(
     "name,r,tuples",
     [(1, 2, 1), (2, 2, 4), (3, 2, 11), (4, 2, 43), (5, 2, 161), (6, 2, 901),
-     (7, 2, 5579), (1, 3, 1), (2, 3, 8), (3, 3, 66), (4, 3, 1032), (5, 3, 19320),
+     (7, 2, 5579), (8, 2, 43206), (1, 3, 1), (2, 3, 8), (3, 3, 66), (4, 3, 1032), (5, 3, 19320),
      ("A5", 2, 77), ("S4", 2, 43), ("D4", 2, 28), ("Z6", 2, 36), ("A5", 3, 4620),
      ("D4", 3, 224)],
 )

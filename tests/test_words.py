@@ -111,6 +111,10 @@ def test_inverse_and_power():
     w = parse("xyX")
     assert w * w.inverse() == Word(2, ())
     assert w**3 == parse("xy^3X")
+    # `**` and the parser's `^d` build powers independently
+    for text in ["a", "abA", "abAB", "aBc", "abA^2", "1"]:
+        for d in range(-5, 6):
+            assert parse(text, 3) ** d == parse(f"({text})^{d}", 3), (text, d)
 
 
 def test_substitute_examples():
