@@ -6,7 +6,8 @@ outgoing edges by ascending label and then incoming edges by ascending
 label.  Two subgroups of the same ambient free group are equal iff their
 canonical graphs are identical.  The numbering also fixes the spanning
 tree behind `basis` and `rewrite_in_basis`: the breadth-first tree, whose
-edge into a vertex w > 0 is its least edge to a vertex v < w.
+edge into a vertex w > 0 is its least edge to a vertex v < w; and the
+order in which `morphism` and `quotient_graphs` place the vertices.
 """
 from __future__ import annotations
 
@@ -151,16 +152,13 @@ def _canonicalize(ambient_rank: int, es: set[Edge]) -> CoreGraph:
         vertices.add(v)
     order = [0]
     index = {0: 0}
-    i = 0
-    while i < len(order):
-        v = order[i]
+    for v in order:  # grows as it is read: a breadth-first queue
         for lab in range(1, ambient_rank + 1):
             for nbr_map in (out, inc):
                 w = nbr_map.get((v, lab))
                 if w is not None and w not in index:
                     index[w] = len(order)
                     order.append(w)
-        i += 1
     if len(order) != len(vertices):
         raise InternalInvariantError("core graph is disconnected")
     canon = tuple(sorted((index[u], lab, index[v]) for u, lab, v in es))
@@ -174,13 +172,11 @@ def fold(pre: PreGraph) -> CoreGraph:
 
 def from_generators(gens: list[Word], ambient_rank: int) -> CoreGraph:
     """The core graph of the subgroup generated by `gens` inside F_r."""
+    pre = PreGraph(ambient_rank)
     for g in gens:
         if g.ambient_rank > ambient_rank:
             raise ValueError("generator rank exceeds ambient rank")
-    pre = PreGraph(ambient_rank)
-    for g in gens:
-        if not g.is_identity:
-            pre.add_word_loop(g)
+        pre.add_word_loop(g)
     return fold(pre)
 
 
@@ -207,6 +203,11 @@ def _walk(J: CoreGraph, w: Word) -> list[tuple[Edge, int]] | None:
     return crossed if cur == 0 else None
 
 
+def _placement_order(H: CoreGraph) -> list[Edge]:
+    """H's edges by (later endpoint, earlier endpoint), each vertex's loops last."""
+    return sorted(H.edges, key=lambda e: (max(e[0], e[2]), min(e[0], e[2])))
+
+
 def contains(H: CoreGraph, w: Word) -> bool:
     """Membership: w traces a loop at the base of Gamma(H)."""
     if w.ambient_rank > H.ambient_rank:
@@ -218,29 +219,24 @@ def morphism(H: CoreGraph, J: CoreGraph) -> list[int] | None:
     """The base-preserving label-preserving graph morphism H -> J, if any.
 
     For folded graphs the morphism is unique, and it exists iff the
-    subgroup of H is contained in the subgroup of J.
+    subgroup of H is contained in the subgroup of J.  H must be canonical,
+    as every CoreGraph is: in `_placement_order` the first edge of each
+    vertex w > 0 places it, and every other edge is a check.
     """
     if H.ambient_rank != J.ambient_rank:
         raise ValueError("ambient ranks differ")
-    f: list[int | None] = [None] * H.num_vertices
-    f[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for lab in range(1, H.ambient_rank + 1):
-            for here, there in ((H.out_map, J.out_map), (H.in_map, J.in_map)):
-                w = here.get((v, lab))
-                if w is None:
-                    continue
-                target = there.get((f[v], lab))
-                if target is None:
-                    return None
-                if f[w] is None:
-                    f[w] = target
-                    queue.append(w)
-                elif f[w] != target:
-                    return None
-    return f  # type: ignore[return-value]
+    f = [0] * H.num_vertices
+    placed = 0
+    for u, lab, v in _placement_order(H):
+        if max(u, v) > placed:
+            placed = max(u, v)
+            target = J.out_map.get((f[u], lab)) if v == placed else J.in_map.get((f[v], lab))
+            if target is None:
+                return None
+            f[placed] = target
+        elif J.out_map.get((f[u], lab)) != f[v]:
+            return None
+    return f
 
 
 def subgroup_leq(H: CoreGraph, J: CoreGraph) -> bool:
@@ -317,10 +313,8 @@ def quotient_graphs(H: CoreGraph, max_vertices: int, budget: int | None = None):
     `budget` steps raises BudgetExceededError.
     """
     n = H.num_vertices
-    # each edge is placed with its later endpoint; the first edge of a
-    # vertex joins it to an earlier one, loops come last
     later: list[list[Edge]] = [[] for _ in range(n)]
-    for e in sorted(H.edges, key=lambda e: (max(e[0], e[2]), min(e[0], e[2]))):
+    for e in _placement_order(H):
         later[max(e[0], e[2])].append(e)
     f = [0] * n
     out = [[None] * n for _ in range(H.ambient_rank + 1)]  # out[lab][point]

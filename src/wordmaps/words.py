@@ -180,13 +180,17 @@ class _Parser:
         if self.peek() is not None:
             raise WordSyntaxError(f"unexpected character {self.peek()!r}", self.pos)
 
-    def parse_word(self) -> list[Letter]:
+    def parse_word(self, used: int = 0) -> list[Letter]:
+        """A word's letters, unreduced; `used` letters precede it in its literal."""
         out: list[Letter] = []
         while True:
             ch = self.peek()
             if ch is None or ch in ("]", ")", ","):
                 return out
-            out.extend(self.parse_term())
+            term = self.parse_term()
+            if used + len(out) + len(term) > MAX_PARSED_LENGTH:
+                raise WordSyntaxError("word literal too long", self.pos)
+            out.extend(term)
 
     def parse_term(self) -> list[Letter]:
         atom = self.parse_atom()
@@ -197,8 +201,7 @@ class _Parser:
                 raise WordSyntaxError("exponent overflow", self.pos)
             if n < 0:
                 atom = [(g, -s) for g, s in reversed(atom)]
-                n = -n
-            atom = list(itertools.chain.from_iterable([atom] * n))
+            atom = atom * abs(n)
         return atom
 
     def parse_atom(self) -> list[Letter]:
@@ -211,7 +214,7 @@ class _Parser:
         if ch == "[":
             u = self.parse_word()
             self.expect(",")
-            v = self.parse_word()
+            v = self.parse_word(len(u))
             self.expect("]")
             ui = [(g, -s) for g, s in reversed(u)]
             vi = [(g, -s) for g, s in reversed(v)]
@@ -269,9 +272,11 @@ def parse_lists(texts: Sequence[str], ambient_rank: int | None = None) -> list[l
     for text in texts:
         p = _Parser(text)
         lists.append([p.parse_word()])
+        used = 0  # letters of the list's earlier words
         while p.peek() == ",":
             p.take()
-            lists[-1].append(p.parse_word())
+            used += len(lists[-1][-1])
+            lists[-1].append(p.parse_word(used))
         p.expect_end()
     words = iter(_as_words([w for items in lists for w in items], ambient_rank))
     return [[next(words) for _ in items] for items in lists]
@@ -384,7 +389,8 @@ class WhiteheadMove(NamedTuple):
     """A Whitehead automorphism of F_rank.
 
     kind "perm": a signed permutation of the basis (type I);
-    kind "mult": a multiplier letter a and a per-generator code (type II).
+    kind "mult": a multiplier letter a and a per-generator code (type II),
+    which `images` reads off the table above; a's own generator is fixed.
     """
 
     rank: int
@@ -398,26 +404,16 @@ class WhiteheadMove(NamedTuple):
         r = self.rank
         if self.kind == "perm":
             assert self.perm is not None and self.signs is not None
-            return tuple(
-                Word(r, ((self.perm[i] + 1, self.signs[i]),)) for i in range(r)
-            )
+            return tuple(Word(r, ((p + 1, s),)) for p, s in zip(self.perm, self.signs))
         assert self.multiplier is not None and self.codes is not None
-        a = Word(r, (self.multiplier,))
-        ai = a.inverse()
+        g, s = self.multiplier
         out = []
-        for i in range(r):
-            x = Word(r, ((i + 1, 1),))
-            if i + 1 == self.multiplier[0]:
-                out.append(x)
-                continue
-            c = self.codes[i]
-            if c == 1:
-                x = x * a
-            elif c == 2:
-                x = ai * x
-            elif c == 3:
-                x = ai * x * a
-            out.append(x)
+        for x, c in enumerate(self.codes, start=1):
+            if x == g:
+                c = 0
+            before = ((g, -s),) if c in (2, 3) else ()
+            after = ((g, s),) if c in (1, 3) else ()
+            out.append(Word(r, before + ((x, 1),) + after))
         return tuple(out)
 
     def apply(self, w: Word) -> Word:
@@ -436,14 +432,9 @@ def enumerate_whitehead_moves(rank: int) -> list[WhiteheadMove]:
             moves.append(WhiteheadMove(rank, "perm", perm=perm, signs=tuple(signs)))
     for g in range(1, rank + 1):
         for s in (1, -1):
-            positions = [i for i in range(rank) if i + 1 != g]
-            for assignment in itertools.product(_MULT_CODES, repeat=len(positions)):
-                codes = [0] * rank
-                for i, c in zip(positions, assignment):
-                    codes[i] = c
-                moves.append(
-                    WhiteheadMove(rank, "mult", multiplier=(g, s), codes=tuple(codes))
-                )
+            for codes in itertools.product(_MULT_CODES, repeat=rank):
+                if codes[g - 1] == 0:
+                    moves.append(WhiteheadMove(rank, "mult", multiplier=(g, s), codes=codes))
     return moves
 
 

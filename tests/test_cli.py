@@ -56,8 +56,11 @@ def test_parse_group_symmetric():
         (["measure", "table", "--word", "x", "--group", "S00"], "degree must be positive"),
         (["perm", "obstruction", "--word", "x^2y^2", "--d", "2", "--n", "2..3",
           "--seed", "0", "--sample-budget", "-1"], "sample budget must be non-negative"),
+        # 1,200,000 and 1,800,000 letters before free reduction
+        (["word", "parse", "--word", "a^600000b^600000"], "word literal too long"),
+        (["graph", "fold", "--gens", "a^900000,b^900000"], "word literal too long"),
     ],
-    ids=["S0", "S00", "negative-sample-budget"],
+    ids=["S0", "S00", "negative-sample-budget", "long-word", "long-gens"],
 )
 def test_out_of_range_input_exits_2(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -6,6 +6,8 @@ test imported hides a missing import in a command.  These tests start
 `python` anew for each case.
 """
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -249,6 +251,24 @@ def test_submodules_and_unknown_names():
     assert sorted(wordmaps.__all__) == sorted(name for _, name in EXPORTS)
     with pytest.raises(AttributeError, match="no_such_name"):
         wordmaps.no_such_name
+
+
+def test_every_tracer_wrap_target_resolves():
+    # bench/tracer.py wraps functions by (module, attribute) and reports a
+    # name that no longer resolves as absent, so a rename here would
+    # silently drop its spans from a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = []
+    for module, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"wordmaps.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            absent.append(f"{module}.{attr}")
+    assert tracer.TARGETS and absent == []
 
 
 # -- every subcommand in a fresh process ------------------------------

@@ -67,6 +67,51 @@ def test_subgroup_leq():
     assert not stallings.subgroup_leq(J, H)
 
 
+def _morphism_oracle(H, J):
+    """The morphism H -> J by a search from the base over both adjacency
+    maps, checking every edge of each vertex it reaches."""
+    f = [None] * H.num_vertices
+    f[0] = 0
+    queue = [0]
+    while queue:
+        v = queue.pop()
+        for lab in range(1, H.ambient_rank + 1):
+            for here, there in ((H.out_map, J.out_map), (H.in_map, J.in_map)):
+                w = here.get((v, lab))
+                if w is None:
+                    continue
+                target = there.get((f[v], lab))
+                if target is None:
+                    return None
+                if f[w] is None:
+                    f[w] = target
+                    queue.append(w)
+                elif f[w] != target:
+                    return None
+    return f
+
+
+def test_morphism_matches_the_search_oracle():
+    # every ordered pair among each subgroup's quotients, and pairs of
+    # unrelated subgroups of one ambient rank; a morphism exists exactly
+    # when J contains a basis of H
+    rng = random.Random("morphism")
+    samples = [_random_subgroup(rng, 6) for _ in range(120)]
+    samples += [graph([], 2), rose(2), graph(["a^2", "b^2"], 2)]
+    pairs = []
+    for H in samples:
+        qs = stallings.quotients(H)
+        pairs += [(A, B) for A in qs for B in qs]
+        pairs += [(H, J) for J in samples if J.ambient_rank == H.ambient_rank]
+    mapped = 0
+    for H, J in pairs:
+        f = stallings.morphism(H, J)
+        assert f == _morphism_oracle(H, J)
+        assert (f is not None) == all(stallings.contains(J, b) for b in stallings.basis(H))
+        mapped += f is not None
+    assert (len(pairs), mapped) == (15111, 3093)
+
+
 def test_basis_regenerates():
     for gens, rank in [(["a^2", "ab"], 2), (["[a,b]"], 2), (["a^2", "b^2", "ab"], 2)]:
         g = graph(gens, rank)

@@ -91,8 +91,21 @@ def test_parse_errors_carry_position():
         parse("x^")
     with pytest.raises(WordSyntaxError):
         parse("z", 2)
-    with pytest.raises(WordSyntaxError):
+    with pytest.raises(WordSyntaxError, match="exponent overflow"):
         parse("x^1000001")
+    # a literal has at most MAX_PARSED_LENGTH letters before free
+    # reduction, over all the words of a comma list
+    for text in ["a^600000b^600000", "[a^600000,b^600000]", "(a^600000b^600000)^0",
+                 "[[a,b]^250000,c]", "a^900000,b^900000"]:
+        with pytest.raises(WordSyntaxError, match="word literal too long"):
+            parse_list(text)
+
+
+def test_a_literal_of_max_parsed_length_letters_parses():
+    assert len(parse("a^999999b")) == word_module.MAX_PARSED_LENGTH
+    assert [len(w) for w in parse_list("a^500000,b^500000")] == [500_000, 500_000]
+    # each list of parse_lists is a literal of its own
+    assert [len(ws[0]) for ws in parse_lists(["a^999999b", "a^999999b"])] == [10**6, 10**6]
 
 
 def test_word_rejects_unreduced():
@@ -185,6 +198,55 @@ def test_whitehead_moves_are_automorphisms():
 
         g = stallings.from_generators(list(images), 2)
         assert g == stallings.rose(2)
+
+
+def _images_oracle(move):
+    """The images of a move as products of Words, code by code."""
+    r = move.rank
+    if move.kind == "perm":
+        return tuple(Word(r, ((move.perm[i] + 1, move.signs[i]),)) for i in range(r))
+    a = Word(r, (move.multiplier,))
+    ai = a.inverse()
+    out = []
+    for i in range(r):
+        x = Word.generator(i + 1, r)
+        c = 0 if i + 1 == move.multiplier[0] else move.codes[i]
+        out.append([x, x * a, ai * x, ai * x * a][c])
+    return tuple(out)
+
+
+def _moves_oracle(rank):
+    """The move list, each multiplier move's codes scattered over the
+    generators other than the multiplier's own."""
+    moves = [WhiteheadMove(rank, "perm", perm=perm, signs=signs)
+             for perm in itertools.permutations(range(rank))
+             for signs in itertools.product((1, -1), repeat=rank)]
+    for g in range(1, rank + 1):
+        for s in (1, -1):
+            positions = [i for i in range(rank) if i + 1 != g]
+            for assignment in itertools.product(range(4), repeat=len(positions)):
+                codes = [0] * rank
+                for i, c in zip(positions, assignment):
+                    codes[i] = c
+                moves.append(WhiteheadMove(rank, "mult", multiplier=(g, s), codes=tuple(codes)))
+    return moves
+
+
+def test_moves_and_images_match_the_product_oracles(monkeypatch):
+    moves = [m for k in range(1, 5) for m in enumerate_whitehead_moves(k)]
+    assert moves == [m for k in range(1, 5) for m in _moves_oracle(k)]
+    assert len(moves) == 1068
+    # a code at the multiplier's own generator is ignored
+    odd = WhiteheadMove(3, "mult", multiplier=(2, -1), codes=(1, 3, 2))
+    assert odd.images() == tuple(parse(t, 3) for t in ("aB", "b", "bc"))
+    moves.append(odd)
+    want = [_images_oracle(m) for m in moves]
+
+    def no_product(*_):
+        raise AssertionError("images() multiplied Words")
+
+    monkeypatch.setattr(Word, "__mul__", no_product)
+    assert [m.images() for m in moves] == want
 
 
 # -- properties -------------------------------------------------------
